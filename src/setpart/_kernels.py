@@ -1,9 +1,8 @@
-"""Pure-Python enumeration kernels.
+"""Word-level enumeration kernels.
 
-Reference implementations of the hot loops: restricted-growth-string
-iteration and the pattern-avoiding word counts.  The compiled module
-``_speed`` mirrors this interface; either backend may be active, and the
-two must produce identical streams and counts.
+The hot loops behind every partition and non-crossing sweep:
+restricted-growth-string iteration and the pattern-avoiding word counts.
+``NAME`` labels the implementation in benchmark records.
 """
 
 NAME = "pure"

@@ -316,10 +316,6 @@ class BlockProfile:
         return "BlockProfile(%r)" % (list(self.counts),)
 
 
-def block_profile(p: SetPartition) -> BlockProfile:
-    return BlockProfile.of_partition(p)
-
-
 def weight_of_partition(p: SetPartition, weights=None):
     """The monomial t_{size} per block, multiplied over all blocks.
 
@@ -429,8 +425,3 @@ def complete_bell_by_sum(n: int) -> BellPolynomial:
     for r in range(n + 1):
         out = out + partial_bell(n, r)
     return out
-
-
-def evaluate(p: BellPolynomial, weights) -> int:
-    """Exact value of the polynomial at the given weights."""
-    return p.evaluate(weights)

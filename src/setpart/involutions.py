@@ -113,12 +113,8 @@ def partner(lam: SignedPair) -> Union[SignedPair, FixedPoint]:
     way the sign flips.  When no element qualifies, the pair is fixed and
     the FIXED sentinel is returned.
     """
-    j = lam.j
-    pivot = max(lam.S, default=0)
-    for b in lam.pi.blocks:
-        if len(b) == 1 and pivot < b[0] <= j:
-            pivot = b[0]
-    if pivot == 0:
+    pivot = pivot_of(lam)
+    if pivot is None:
         return FIXED
     ground = lam.pi.ground.elements
     if pivot in lam.S:

@@ -9,7 +9,7 @@ so that comparing them is a real check and not a tautology.
 import math
 import threading
 
-from .errors import IndexOutOfRange, NegativeIndex
+from .errors import IndexOutOfRange, NegativeIndex, NonIntegerCoefficient
 
 SINGLETON_IDENTITY_VARIANTS = ("collapse", "pair", "alternating")
 
@@ -26,7 +26,7 @@ def binomial(n: int, k: int) -> int:
 
 
 _bell_cache = [1, 1]
-_bell_rows = [[1]]
+_bell_row = [1]  # the last triangle row; it ends with _bell_cache[-1]
 _bell_lock = threading.Lock()
 
 
@@ -39,13 +39,13 @@ def bell(n: int) -> int:
     """
     if n < 0:
         raise NegativeIndex("sequence index must be nonnegative")
+    global _bell_row
     with _bell_lock:
         while len(_bell_cache) <= n:
-            prev = _bell_rows[-1]
-            row = [prev[-1]]
-            for entry in prev:
+            row = [_bell_row[-1]]
+            for entry in _bell_row:
                 row.append(row[-1] + entry)
-            _bell_rows.append(row)
+            _bell_row = row
             _bell_cache.append(row[-1])
         return _bell_cache[n]
 
@@ -53,12 +53,15 @@ def bell(n: int) -> int:
 def catalan(n: int) -> int:
     """The n-th Catalan number, computed as binomial(2n, n) / (n + 1).
 
-    The division is asserted exact.
+    A nonzero remainder raises NonIntegerCoefficient.
     """
     if n < 0:
         raise NegativeIndex("sequence index must be nonnegative")
     q, r = divmod(math.comb(2 * n, n), n + 1)
-    assert r == 0
+    if r:
+        raise NonIntegerCoefficient(
+            "binomial(%d, %d) is not divisible by %d" % (2 * n, n, n + 1)
+        )
     return q
 
 

@@ -288,15 +288,6 @@ def _check_involution(mode, seed, cell):
     return CellResult(cell, True)
 
 
-def _fixed_point_partitions(n, j):
-    """Partitions of {1..n+1} with no singleton block inside {1..j}."""
-    out = set()
-    for p in partitions.enumerate_partitions(n + 1):
-        if not any(len(b) == 1 and b[0] <= j for b in p.blocks):
-            out.add(p)
-    return out
-
-
 def _check_psi(mode, seed, cell):
     n, j = cell["n"], cell["j"]
     image = set()
@@ -325,7 +316,7 @@ def _check_psi(mode, seed, cell):
                     },
                 )
             image.add(built)
-    expected = _fixed_point_partitions(n, j)
+    expected = _no_singleton_targets(n + 1, j)
     if len(image) != domain_size:
         return CellResult(
             cell,

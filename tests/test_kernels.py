@@ -1,88 +1,73 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
 from setpart import _kernels
-from setpart._kernels import _pure
-
-_speed = pytest.importorskip(
-    "setpart._kernels._speed", reason="compiled kernel not built"
-)
 
 
-class TestBackendSelection:
-    def test_some_backend_is_active(self):
-        assert _kernels.NAME in ("c", "pure")
+class TestStreams:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rgs_stream_is_strictly_increasing(self, n):
+        words = list(_kernels.iter_rgs(n))
+        assert all(a < b for a, b in zip(words, words[1:]))
 
-    @pytest.mark.parametrize("choice", ["pure", "c"])
-    def test_env_override_selects_backend(self, choice):
-        env = dict(os.environ, SETPART_BACKEND=choice)
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from setpart import _kernels; print(_kernels.NAME)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == choice
-
-    def test_unknown_override_fails_loudly(self):
-        env = dict(os.environ, SETPART_BACKEND="fortran")
-        proc = subprocess.run(
-            [sys.executable, "-c", "import setpart._kernels"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode != 0
-        assert "SETPART_BACKEND" in proc.stderr
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_noncrossing_stream_is_strictly_increasing(self, n):
+        words = list(_kernels.iter_noncrossing(n))
+        assert all(a < b for a, b in zip(words, words[1:]))
 
 
-class TestBackendsAgree:
+def _adjacent_distinct(word, prefix):
+    return all(word[i] != word[i + 1] for i in range(min(prefix, len(word) - 1)))
+
+
+class TestCountsMatchStreams:
+    @pytest.mark.parametrize("n", range(9))
+    def test_count_rgs(self, n):
+        assert _kernels.count_rgs(n) == len(list(_kernels.iter_rgs(n)))
+
     @pytest.mark.parametrize("n", range(10))
-    def test_word_counts(self, n):
-        assert _pure.count_rgs(n) == _speed.count_rgs(n)
-
-    @pytest.mark.parametrize("n", range(8))
-    def test_word_streams(self, n):
-        assert list(_pure.iter_rgs(n)) == list(_speed.iter_rgs(n))
-
-    @pytest.mark.parametrize("n", range(11))
-    def test_noncrossing_counts(self, n):
-        assert _pure.count_noncrossing(n) == _speed.count_noncrossing(n)
-
-    @pytest.mark.parametrize("n", range(8))
-    def test_noncrossing_streams(self, n):
-        assert list(_pure.iter_noncrossing(n)) == list(
-            _speed.iter_noncrossing(n)
+    def test_count_noncrossing(self, n):
+        assert _kernels.count_noncrossing(n) == len(
+            list(_kernels.iter_noncrossing(n))
         )
 
-    @pytest.mark.parametrize("n", range(11))
-    def test_cyclic_counts(self, n):
-        assert _pure.count_noncrossing_cyclic_smirnov(
-            n
-        ) == _speed.count_noncrossing_cyclic_smirnov(n)
+    @pytest.mark.parametrize("n", range(10))
+    def test_count_cyclic_smirnov(self, n):
+        expected = sum(
+            1
+            for w in _kernels.iter_noncrossing(n)
+            if _adjacent_distinct(w + w[:1], n)
+        )
+        assert _kernels.count_noncrossing_cyclic_smirnov(n) == expected
 
-    def test_prefix_counts(self):
-        for n in range(1, 9):
-            for j in range(n):
-                assert _pure.count_noncrossing_prefix_smirnov(
-                    n, j
-                ) == _speed.count_noncrossing_prefix_smirnov(n, j)
+    def test_count_prefix_smirnov(self):
+        for n in range(9):
+            words = list(_kernels.iter_noncrossing(n))
+            for j in range(n + 1):
+                expected = sum(1 for w in words if _adjacent_distinct(w, j))
+                assert (
+                    _kernels.count_noncrossing_prefix_smirnov(n, j) == expected
+                )
 
-    @pytest.mark.parametrize("fn", [
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(_kernels.iter_rgs(-1)),
+        lambda: list(_kernels.iter_noncrossing(-1)),
+        lambda: _kernels.count_rgs(-1),
+        lambda: _kernels.count_noncrossing(-1),
+        lambda: _kernels.count_noncrossing_cyclic_smirnov(-1),
+        lambda: _kernels.count_noncrossing_prefix_smirnov(-1, 0),
+    ],
+    ids=[
+        "iter_rgs",
+        "iter_noncrossing",
         "count_rgs",
         "count_noncrossing",
         "count_noncrossing_cyclic_smirnov",
-    ])
-    def test_negative_length_rejected_by_both(self, fn):
-        with pytest.raises(ValueError):
-            getattr(_pure, fn)(-1)
-        with pytest.raises(ValueError):
-            getattr(_speed, fn)(-1)
+        "count_noncrossing_prefix_smirnov",
+    ],
+)
+def test_negative_length_rejected(call):
+    with pytest.raises(ValueError):
+        call()

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from setpart import numbers
-from setpart.errors import IndexOutOfRange, NegativeIndex
+from setpart.errors import IndexOutOfRange, NegativeIndex, NonIntegerCoefficient
 
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
@@ -53,6 +58,27 @@ class TestBell:
         with pytest.raises(NegativeIndex):
             numbers.bell(-1)
 
+    def test_cache_keeps_only_the_last_row(self):
+        # a fresh interpreter, so that no earlier test has filled the cache;
+        # keeping every triangle row peaks near 280 MB at n = 1000
+        code = (
+            "import tracemalloc\n"
+            "from setpart import numbers\n"
+            "tracemalloc.start()\n"
+            "numbers.bell(1000)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = Path(numbers.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 20 * 2**20
+
 
 class TestCatalan:
     def test_golden_prefix(self):
@@ -69,6 +95,12 @@ class TestCatalan:
     def test_negative_raises(self):
         with pytest.raises(NegativeIndex):
             numbers.catalan(-3)
+
+    def test_inexact_division_raises_under_optimisation(self, monkeypatch):
+        # an assert would vanish under python -O; the check must not
+        monkeypatch.setattr(numbers.math, "comb", lambda n, k: 7)
+        with pytest.raises(NonIntegerCoefficient):
+            numbers.catalan(3)
 
 
 class TestCatalanDifference:

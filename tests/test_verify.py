@@ -168,7 +168,7 @@ class TestFalsifiedOracle:
 
     def test_broken_involution_pairing_is_caught(self, monkeypatch):
         monkeypatch.setattr(
-            verify, "_fixed_point_partitions", lambda n, j: set()
+            verify, "_no_singleton_targets", lambda size, j: set()
         )
         report = verify.run_identity("psi", max_n=3)
         assert not report.passed
