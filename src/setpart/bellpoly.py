@@ -6,12 +6,12 @@ polynomial in t_1..t_n; restricting to partitions with exactly r blocks
 gives its fixed-block-count part.  Two independent constructions of the
 full polynomial (partition enumeration, and the multinomial formula per
 block-count) are kept side by side so they can be checked against each
-other.
+other.  The formula route walks the integer partitions of n and divides
+exactly in integers; it never forms a rational.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import _kernels
@@ -360,60 +360,45 @@ def complete_bell_by_enumeration(n: int) -> BellPolynomial:
     return BellPolynomial(terms)
 
 
-def _block_count_solutions(n, r):
-    """Yield (r_1, ..., r_n) with sum r_i = r and sum i*r_i = n.
+def _parts(total, count, top):
+    """Yield the partitions of total into exactly count parts of size at
+    most top, largest part first.
 
-    Iterates r_n down to r_1, pruning on remaining weight and count.
+    A part p obeys ceil(total/count) <= p <= min(top, total - count + 1),
+    so the other count - 1 parts can always take up the rest.
     """
-
-    def rec(i, weight, count, acc):
-        if i == 1:
-            # r_1 singletons must use up exactly the rest of both budgets
-            if weight == count:
-                yield acc + [weight]
-            return
-        top = min(weight // i, count)
-        for r_i in range(top, -1, -1):
-            rest_w = weight - i * r_i
-            rest_c = count - r_i
-            if rest_c * (i - 1) < rest_w:
-                # remaining blocks are too small to absorb the weight
-                continue
-            yield from rec(i - 1, rest_w, rest_c, acc + [r_i])
-
-    if n == 0:
-        if r == 0:
-            yield []
+    if count == 0:
+        if total == 0:
+            yield ()
         return
-    for sol in rec(n, n, r, []):
-        yield list(reversed(sol))
+    for p in range(min(top, total - count + 1), -(-total // count) - 1, -1):
+        for rest in _parts(total - p, count - 1, p):
+            yield (p,) + rest
 
 
 def partial_bell(n: int, r: int) -> BellPolynomial:
     """The part of the full polynomial coming from exactly r blocks.
 
-    Each solution (r_1, ..., r_n) of sum r_i = r, sum i*r_i = n
-    contributes n! / (prod r_i! * prod (i!)^{r_i}) times prod t_i^{r_i}.
-    Coefficients are computed as exact rationals and must come out
-    integral.
+    Each partition of the integer n into r block sizes, with r_i blocks
+    of size i, contributes n! / (prod r_i! * prod (i!)^{r_i}) times
+    prod t_i^{r_i}.  Each coefficient is an exact integer division, and
+    a nonzero remainder raises NonIntegerCoefficient.
     """
     if n < 0 or r < 0 or r > n:
         raise IndexOutOfRange("need 0 <= r <= n")
     terms = []
     n_fact = factorial(n)
-    for sol in _block_count_solutions(n, r):
-        coeff = Fraction(n_fact)
-        for i, r_i in enumerate(sol, start=1):
-            if r_i:
-                coeff /= factorial(r_i) * factorial(i) ** r_i
-        if coeff.denominator != 1:
+    for parts in _parts(n, r, n):
+        mono = Monomial((i, 1) for i in parts)
+        denom = 1
+        for i, r_i in mono.pairs:
+            denom *= factorial(r_i) * factorial(i) ** r_i
+        coeff, rem = divmod(n_fact, denom)
+        if rem:
             raise NonIntegerCoefficient(
-                "coefficient %s for solution %r" % (coeff, sol)
+                "coefficient %d/%d for block sizes %r" % (n_fact, denom, parts)
             )
-        mono = Monomial(
-            (i, r_i) for i, r_i in enumerate(sol, start=1) if r_i
-        )
-        terms.append((mono, coeff.numerator))
+        terms.append((mono, coeff))
     return BellPolynomial(terms)
 
 

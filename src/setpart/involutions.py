@@ -13,6 +13,7 @@ specialized ones.
 from __future__ import annotations
 
 from bisect import insort
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .bellpoly import BellPolynomial, Monomial, complete_bell_by_sum
@@ -122,10 +123,7 @@ def partner(lam: SignedPair) -> Union[SignedPair, FixedPoint]:
         new_ground = list(ground)
         insort(new_ground, pivot)
         blocks = list(lam.pi.blocks)
-        lo = 0
-        while lo < len(blocks) and blocks[lo][0] < pivot:
-            lo += 1
-        blocks.insert(lo, (pivot,))
+        insort(blocks, (pivot,), key=itemgetter(0))
     else:
         new_s = lam.S | {pivot}
         new_ground = [e for e in ground if e != pivot]
@@ -177,16 +175,21 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
     expected = tuple(e for e in range(1, n + 1) if e not in t)
     if rho.ground.elements != expected:
         raise MalformedInput("rho must partition {1..%d} minus T" % n)
-    migrating = frozenset(
-        b[0] for b in rho.blocks if len(b) == 1 and b[0] <= j
-    )
-    last_block = tuple(sorted(t | migrating | {n + 1}))
-    blocks = [b for b in rho.blocks if not (len(b) == 1 and b[0] <= j)]
-    lo = 0
-    while lo < len(blocks) and blocks[lo][0] < last_block[0]:
-        lo += 1
-    blocks.insert(lo, last_block)
+    blocks = _gather_low_singletons(rho.blocks, j, sorted(t) + [n + 1])
     return SetPartition(GroundSet.range_n(n + 1), blocks)
+
+
+def _gather_low_singletons(blocks, j, larger) -> list:
+    """The blocks with every singleton inside {1..j} moved into one new
+    block together with the ascending elements larger, all above j.
+
+    This is the coding of build_singleton_free; the gather maps are that
+    coding at n = j and n = j + 1.  Blocks stay ordered by least element.
+    """
+    out = [b for b in blocks if len(b) > 1 or b[0] > j]
+    moving = [b[0] for b in blocks if len(b) == 1 and b[0] <= j]
+    insort(out, tuple(moving + larger), key=itemgetter(0))
+    return out
 
 
 def split_singleton_free(
@@ -214,10 +217,7 @@ def split_singleton_free(
     low = [e for e in anchor if e <= j]
     blocks = [b for b in p.blocks if b is not anchor]
     for e in low:
-        lo = 0
-        while lo < len(blocks) and blocks[lo][0] < e:
-            lo += 1
-        blocks.insert(lo, (e,))
+        insort(blocks, (e,), key=itemgetter(0))
     ground = GroundSet(e for e in range(1, n + 1) if e not in t)
     return t, SetPartition._trusted(ground, tuple(blocks))
 
@@ -228,9 +228,7 @@ def gather_singletons(src: SetPartition) -> SetPartition:
     if not src.ground.is_contiguous():
         raise MalformedInput("source must partition {1..j}")
     j = len(src.ground)
-    moving = frozenset(b[0] for b in src.blocks if len(b) == 1)
-    blocks = [b for b in src.blocks if len(b) > 1]
-    blocks.append(tuple(sorted(moving | {j + 1})))
+    blocks = _gather_low_singletons(src.blocks, j, [j + 1])
     return SetPartition(GroundSet.range_n(j + 1), blocks)
 
 
@@ -246,22 +244,12 @@ def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
     if j < 0 or not src.ground.is_contiguous():
         raise MalformedInput("source must partition {1..j} or {1..j+1}")
     size = len(src.ground)
-    if size == j:
-        moving = frozenset(b[0] for b in src.blocks if len(b) == 1)
-        blocks = [b for b in src.blocks if len(b) > 1]
-        blocks.append(tuple(sorted(moving | {j + 1, j + 2})))
-    elif size == j + 1:
-        moving = frozenset(
-            b[0] for b in src.blocks if len(b) == 1 and b[0] <= j
-        )
-        blocks = [
-            b for b in src.blocks if not (len(b) == 1 and b[0] <= j)
-        ]
-        blocks.append(tuple(sorted(moving | {j + 2})))
-    else:
+    if size not in (j, j + 1):
         raise MalformedInput(
             "source has %d elements; expected %d or %d" % (size, j, j + 1)
         )
+    larger = [j + 1, j + 2] if size == j else [j + 2]
+    blocks = _gather_low_singletons(src.blocks, j, larger)
     return SetPartition(GroundSet.range_n(j + 2), blocks)
 
 
@@ -311,32 +299,6 @@ def weight_monomial(lam: SignedPair) -> Monomial:
     return Monomial(counts)
 
 
-class WeightedSignedPair:
-    """A signed pair together with its block-size weight monomial."""
-
-    __slots__ = ("pair", "mono")
-
-    def __init__(self, pair: SignedPair, mono: Optional[Monomial] = None):
-        self.pair = pair
-        self.mono = mono if mono is not None else weight_monomial(pair)
-
-    @property
-    def sign(self) -> int:
-        return self.pair.sign
-
-    def __repr__(self):
-        return "WeightedSignedPair(%r, %s%s)" % (
-            self.pair,
-            "-" if self.sign < 0 else "+",
-            self.mono.to_text(),
-        )
-
-
-def enumerate_weighted_carrier(n: int, j: int) -> Iterator[WeightedSignedPair]:
-    for lam in enumerate_carrier(n, j):
-        yield WeightedSignedPair(lam)
-
-
 def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
     """Sum of signed weight monomials over the whole carrier."""
     if not 0 <= j <= n:
@@ -345,11 +307,9 @@ def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
         raise SizeTooLarge(
             "symbolic carrier sweeps are capped at n = %d" % SYMBOLIC_CEILING
         )
-    acc = {}
-    for wp in enumerate_weighted_carrier(n, j):
-        mono = wp.mono
-        acc[mono] = acc.get(mono, 0) + wp.sign
-    return BellPolynomial(acc)
+    return BellPolynomial(
+        (weight_monomial(lam), lam.sign) for lam in enumerate_carrier(n, j)
+    )
 
 
 def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
@@ -376,6 +336,7 @@ def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
     """
     if not 0 <= j <= n:
         raise IndexOutOfRange("need 0 <= j <= n")
+    complete = [complete_bell_by_sum(m) for m in range(n + 1)]
     out = BellPolynomial.zero()
     for k in range(n - j + 1):
         for l in range(j + 1):
@@ -389,6 +350,6 @@ def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
                 if coeff == 0:
                     continue
                 mono = Monomial(((1, r), (k + l + 1, 1)))
-                term = complete_bell_by_sum(n - k - l - r).scaled(coeff, mono)
+                term = complete[n - k - l - r].scaled(coeff, mono)
                 out = out + term
     return out

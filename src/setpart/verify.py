@@ -7,6 +7,7 @@ both content and order, independent of how the cells were scheduled.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -188,21 +189,22 @@ def run_identity(
 ) -> VerificationReport:
     """Sweep one identity over its grid and collect the report.
 
-    With jobs > 1 the cells run in worker processes; the report order is
-    the planned order either way.
+    With jobs > 1 the cells run in worker processes, at most one per CPU
+    and one per cell; the report order is the planned order either way.
     """
     if max_n is None:
         max_n = default_max_n(identity, mode)
     start = time.perf_counter()
     cells = plan_cells(identity, max_n, mode)
     report = VerificationReport(identity, mode, max_n, seed)
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    width = min(jobs, os.cpu_count() or 1, len(cells))
+    if width > 1:
+        with ProcessPoolExecutor(max_workers=width) as pool:
             results = list(
                 pool.map(
                     _check_cell_star,
                     [(identity, mode, seed, c) for c in cells],
-                    chunksize=max(1, len(cells) // (4 * jobs)),
+                    chunksize=max(1, len(cells) // (4 * width)),
                 )
             )
     else:

@@ -6,6 +6,7 @@ recurrences instead of closed forms, permutation filters instead of
 formulas.  Slow is fine; these run at small sizes.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -44,8 +45,11 @@ def catalan_by_recurrence(n):
     return c[n]
 
 
+@functools.lru_cache(maxsize=None)
 def stirling2_by_recurrence(n, r):
-    """Partitions of [n] into exactly r blocks, via the standard recurrence."""
+    """Partitions of [n] into exactly r blocks, via the standard recurrence.
+
+    Memoised: without it the two-way recursion makes about 2^n calls."""
     if n == 0:
         return 1 if r == 0 else 0
     if r <= 0 or r > n:
@@ -53,6 +57,17 @@ def stirling2_by_recurrence(n, r):
     return r * stirling2_by_recurrence(n - 1, r) + stirling2_by_recurrence(
         n - 1, r - 1
     )
+
+
+def partitions_into_parts(n, r):
+    """Integer partitions of n into exactly r parts, via
+    p(n, r) = p(n - 1, r - 1) + p(n - r, r): either a part is 1, or every
+    part shrinks by one."""
+    if n == 0 and r == 0:
+        return 1
+    if r <= 0 or r > n:
+        return 0
+    return partitions_into_parts(n - 1, r - 1) + partitions_into_parts(n - r, r)
 
 
 def derangements_by_bruteforce(n):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +15,11 @@ from setpart.bellpoly import (
     partial_bell,
     weight_of_partition,
 )
-from setpart.errors import SizeTooLarge, WeightVectorTooShort
+from setpart.errors import (
+    NonIntegerCoefficient,
+    SizeTooLarge,
+    WeightVectorTooShort,
+)
 from setpart.partitions import SetPartition, enumerate_partitions
 
 
@@ -139,9 +145,12 @@ class TestPartialSplit:
         assert total == complete_bell_by_sum(n)
 
     def test_partial_at_ones_counts_block_numbers(self):
-        for n in range(10):
+        # reaches well past the enumeration route's ceiling of 13
+        for n in range(26):
             for r in range(n + 1):
-                got = partial_bell(n, r).evaluate([1] * max(n, 1))
+                poly = partial_bell(n, r)
+                assert len(poly.terms()) == oracles.partitions_into_parts(n, r)
+                got = poly.evaluate([1] * max(n, 1))
                 assert got == oracles.stirling2_by_recurrence(n, r)
 
     def test_coefficients_are_integers(self):
@@ -149,6 +158,13 @@ class TestPartialSplit:
             for r in range(n + 1):
                 for mono, coeff in partial_bell(n, r).terms():
                     assert isinstance(coeff, int)
+
+    def test_inexact_coefficient_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            bellpoly, "factorial", lambda k: 7 if k == 3 else math.factorial(k)
+        )
+        with pytest.raises(NonIntegerCoefficient):
+            partial_bell(3, 2)
 
     def test_partial_term_block_counts(self):
         # every monomial of the (n, r) slice uses exactly r blocks

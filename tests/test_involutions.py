@@ -17,7 +17,6 @@ from setpart.involutions import (
     build_singleton_free,
     classify_cd,
     enumerate_carrier,
-    enumerate_weighted_carrier,
     gather_singletons,
     gather_singletons_two,
     partner,
@@ -266,6 +265,20 @@ class TestGatherSingletonsTwo:
             gather_singletons_two(SetPartition.from_text("1/2/3"), 1)
 
 
+class TestGatherIsTheCoding:
+    @pytest.mark.parametrize("j", range(8))
+    def test_gather_maps_are_the_coding_at_n_j_and_j_plus_1(self, j):
+        for src in enumerate_partitions(j):
+            assert gather_singletons(src) == build_singleton_free(j, j, (), src)
+            assert gather_singletons_two(src, j) == build_singleton_free(
+                j + 1, j, {j + 1}, src
+            )
+        for src in enumerate_partitions(j + 1):
+            assert gather_singletons_two(src, j) == build_singleton_free(
+                j + 1, j, (), src
+            )
+
+
 class TestClassLabels:
     def test_examples_at_j4(self):
         f = lambda text: classify_cd(SetPartition.from_text(text), 4)
@@ -324,10 +337,6 @@ class TestWeightedSums:
             for j in range(n + 1):
                 got = weighted_carrier_sum(n, j).evaluate([1] * (n + 1))
                 assert got == numbers.bell_binomial_sum(n, j)
-
-    def test_weighted_stream_monomials_match(self):
-        for item in enumerate_weighted_carrier(3, 2):
-            assert item.mono == weight_monomial(item.pair)
 
     def test_carrier_sum_ceiling(self):
         with pytest.raises(SizeTooLarge):

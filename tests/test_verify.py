@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -136,6 +137,40 @@ class TestRunIdentity:
         parallel = verify.run_identity("involution", max_n=4, jobs=3)
         assert serial.cells == parallel.cells
         assert serial.passed and parallel.passed
+
+    def test_pool_width_is_bounded_by_cpus_and_cells(self, monkeypatch):
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        serial = verify.run_identity("involution", max_n=4, jobs=1)
+        cells = len(serial.cells)
+        wide = verify.run_identity("involution", max_n=4, jobs=10_000)
+        assert all(w <= min(os.cpu_count() or 1, cells) for w in widths)
+        assert wide.cells == serial.cells
+        widths.clear()
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        wide = verify.run_identity("involution", max_n=4, jobs=10_000)
+        assert widths == [3]
+        assert wide.cells == serial.cells
+        widths.clear()
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        wide = verify.run_identity("involution", max_n=4, jobs=10_000)
+        assert widths == []
+        assert wide.cells == serial.cells
 
     def test_numeric_cells_respect_seed(self):
         a = verify.run_identity("thm2", max_n=8, mode="closed-form", seed=3)
