@@ -7,7 +7,8 @@ gives its fixed-block-count part.  Two independent constructions of the
 full polynomial (partition enumeration, and the multinomial formula per
 block-count) are kept side by side so they can be checked against each
 other.  The formula route walks the integer partitions of n and divides
-exactly in integers; it never forms a rational.
+exactly in integers; it never forms a rational.  A partition's weight is
+a sparse Monomial with one factor t_size per block.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class BellPolynomial:
         return out
 
     def evaluate(self, weights) -> int:
-        values = weights.values if isinstance(weights, WeightVector) else tuple(weights)
+        values = tuple(weights)
         need = max((m.max_index() for m in self._terms), default=0)
         if need > len(values):
             raise WeightVectorTooShort(
@@ -271,49 +272,13 @@ class WeightVector:
         return "WeightVector(%r)" % (list(self.values),)
 
 
-class BlockProfile:
-    """How many blocks of each size a partition has."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Iterable[int]):
-        c = list(counts)
-        while c and c[-1] == 0:
-            c.pop()
-        if any(x < 0 for x in c):
-            raise IndexOutOfRange("block counts must be nonnegative")
-        self.counts = tuple(c)
-
-    @classmethod
-    def of_partition(cls, p: SetPartition) -> "BlockProfile":
-        sizes = p.block_sizes()
-        counts = [0] * (max(sizes) if sizes else 0)
-        for s in sizes:
-            counts[s - 1] += 1
-        return cls(counts)
-
-    def count_of_size(self, i: int) -> int:
-        return self.counts[i - 1] if 1 <= i <= len(self.counts) else 0
-
-    def covered_size(self) -> int:
-        """Total number of elements: sum of size times count."""
-        return sum(i * c for i, c in enumerate(self.counts, start=1))
-
-    def to_monomial(self) -> Monomial:
-        return Monomial(
-            (i, c) for i, c in enumerate(self.counts, start=1) if c
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, BlockProfile):
-            return self.counts == other.counts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def __repr__(self):
-        return "BlockProfile(%r)" % (list(self.counts),)
+def _size_monomial(blocks, ones: int = 0) -> Monomial:
+    """t_{size} per block, times t_1 to the power ones."""
+    counts = {1: ones}
+    for b in blocks:
+        size = len(b)
+        counts[size] = counts.get(size, 0) + 1
+    return Monomial(counts)
 
 
 def weight_of_partition(p: SetPartition, weights=None):
@@ -322,14 +287,10 @@ def weight_of_partition(p: SetPartition, weights=None):
     With a weight vector, returns the integer value of that product
     instead of the symbolic monomial.
     """
-    mono = BlockProfile.of_partition(p).to_monomial()
+    mono = _size_monomial(p.blocks)
     if weights is None:
         return mono
-    w = weights if isinstance(weights, WeightVector) else WeightVector(weights)
-    out = 1
-    for i, e in mono.pairs:
-        out *= w.value_at(i) ** e
-    return out
+    return mono.evaluate(weights)
 
 
 def complete_bell_by_enumeration(n: int) -> BellPolynomial:
@@ -351,13 +312,9 @@ def complete_bell_by_enumeration(n: int) -> BellPolynomial:
             sizes[c - 1] += 1
         key = tuple(sorted(sizes))
         tally[key] = tally.get(key, 0) + 1
-    terms = []
-    for key, count in tally.items():
-        prof = {}
-        for s in key:
-            prof[s] = prof.get(s, 0) + 1
-        terms.append((Monomial(prof), count))
-    return BellPolynomial(terms)
+    return BellPolynomial(
+        (Monomial((s, 1) for s in key), count) for key, count in tally.items()
+    )
 
 
 def _parts(total, count, top):

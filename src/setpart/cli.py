@@ -18,6 +18,7 @@ from .partitions import SetPartition
 
 SYMBOLIC_POLY_CEILING = 13
 NUMERIC_POLY_CEILING = 60
+NUMBERS_CEILING = 1000
 
 _NUMBER_KINDS = {
     "bell": "bell",
@@ -104,6 +105,9 @@ def entry():
 def _cmd_numbers(args) -> int:
     if args.max_n < 0:
         print("error: --max-n must be nonnegative", file=sys.stderr)
+        return 2
+    if args.max_n > NUMBERS_CEILING:
+        print("error: --max-n is capped at %d" % (NUMBERS_CEILING,), file=sys.stderr)
         return 2
     fn = getattr(numbers, _NUMBER_KINDS[args.kind])
     values = [fn(n) for n in range(args.max_n + 1)]
@@ -262,6 +266,19 @@ def _cmd_bellpoly(args) -> int:
     if n > ceiling:
         print("error: --n is capped at %d here" % (ceiling,), file=sys.stderr)
         return 2
+    if args.weights is not None:
+        try:
+            weights = [int(t) for t in args.weights.replace(" ", "").split(",")]
+        except ValueError:
+            print("error: bad weight list %r" % (args.weights,), file=sys.stderr)
+            return 2
+        # Y_n contains t_n for every n >= 1
+        if len(weights) < n:
+            print(
+                "error: need %d weights, got %d" % (n, len(weights)),
+                file=sys.stderr,
+            )
+            return 2
     poly = bellpoly.complete_bell_by_sum(n)
     if args.weights is None:
         if args.format == "json":
@@ -273,11 +290,6 @@ def _cmd_bellpoly(args) -> int:
         else:
             print(poly.to_text())
         return 0
-    try:
-        weights = [int(t) for t in args.weights.replace(" ", "").split(",")]
-    except ValueError:
-        print("error: bad weight list %r" % (args.weights,), file=sys.stderr)
-        return 2
     value = poly.evaluate(weights)
     if args.format == "json":
         print(

@@ -16,7 +16,12 @@ from bisect import insort
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
-from .bellpoly import BellPolynomial, Monomial, complete_bell_by_sum
+from .bellpoly import (
+    BellPolynomial,
+    Monomial,
+    _size_monomial,
+    complete_bell_by_sum,
+)
 from .errors import (
     IndexOutOfRange,
     MalformedInput,
@@ -292,11 +297,7 @@ def classify_cd(p: SetPartition, j: int) -> Tuple[ClassLabel, ...]:
 def weight_monomial(lam: SignedPair) -> Monomial:
     """Unsigned block-size weight of a pair: t_1 per marked element and
     per singleton block, t_i per block of size i."""
-    counts = {1: len(lam.S)}
-    for b in lam.pi.blocks:
-        size = len(b)
-        counts[size] = counts.get(size, 0) + 1
-    return Monomial(counts)
+    return _size_monomial(lam.pi.blocks, len(lam.S))
 
 
 def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:

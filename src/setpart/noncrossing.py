@@ -1,21 +1,19 @@
 """Crossing detection on canonical words, and the filtered counts.
 
 A partition is non-crossing when its growth-string form has no
-subsequence a b a b with a < b.  Three checkers coexist: a quartic
-brute-force reference, a linear stack scan (valid for words whose new
-letters first appear in increasing order, which covers every growth
-string), and a pairwise alternation scan for arbitrary words.  The
-counting routines push the filters into the kernel backtracker and only
-ever see words that survive.
+subsequence a b a b with a < b.  Two checkers coexist: a quartic
+brute-force reference and a pairwise alternation scan, both valid for
+arbitrary words.  The counting routines push the filters into the
+kernel backtracker and only ever see words that survive.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence, Tuple, Union
+from typing import Iterator, NamedTuple, Tuple
 
 from . import _kernels
 from .errors import IndexOutOfRange, SizeTooLarge
-from .partitions import RGS
+from .partitions import RGS, _parse_letters
 
 WORD_CEILING = 14
 
@@ -33,12 +31,7 @@ def _letters(w) -> tuple:
     if isinstance(w, RGS):
         return w.word
     if isinstance(w, str):
-        s = w.strip()
-        if not s:
-            return ()
-        if "," in s:
-            return tuple(int(t) for t in s.split(","))
-        return tuple(int(ch) for ch in s)
+        return _parse_letters(w)
     return tuple(w)
 
 
@@ -59,41 +52,13 @@ def is_noncrossing_bruteforce(w) -> bool:
     return True
 
 
-def _first_occurrences_increase(letters) -> bool:
-    seen = set()
-    top = 0
-    for c in letters:
-        if c not in seen:
-            if c < top:
-                return False
-            seen.add(c)
-            top = c
-    return True
+def is_noncrossing(w) -> bool:
+    """True when the word has no subsequence a b a b with a < b.
 
-
-def _is_noncrossing_stack(letters) -> bool:
-    """Linear check; sound only when new letters appear in increasing
-    order (every growth string qualifies)."""
-    stack = []
-    closed = set()
-    seen = set()
-    for c in letters:
-        if c in closed:
-            return False
-        if stack and stack[-1] == c:
-            continue
-        if c not in seen:
-            seen.add(c)
-            stack.append(c)
-            continue
-        # returning to an earlier open letter closes everything above it
-        while stack[-1] != c:
-            closed.add(stack.pop())
-    return True
-
-
-def _is_noncrossing_pairwise(letters) -> bool:
-    """Alternation scan per value pair; works for arbitrary words."""
+    Scans the word once per pair of letter values, looking for a, b, a, b
+    in that order; valid for arbitrary words, not only growth strings.
+    """
+    letters = _letters(w)
     values = sorted(set(letters))
     for ai in range(len(values)):
         for bi in range(ai + 1, len(values)):
@@ -108,18 +73,6 @@ def _is_noncrossing_pairwise(letters) -> bool:
                         return False
             # fallthrough: no full alternation for this pair
     return True
-
-
-def is_noncrossing(w) -> bool:
-    """True when the word has no subsequence a b a b with a < b.
-
-    Dispatches to the linear scan when the word introduces its letters
-    in increasing order, and to the pairwise scan otherwise.
-    """
-    letters = _letters(w)
-    if _first_occurrences_increase(letters):
-        return _is_noncrossing_stack(letters)
-    return _is_noncrossing_pairwise(letters)
 
 
 def enumerate_noncrossing(n: int) -> Iterator[RGS]:
@@ -175,7 +128,7 @@ def covering_reduction(w) -> Tuple[CoverMask, tuple]:
     Covered: every position whose letter equals its successor, plus the
     last position when it holds a 1.  The word crosses exactly when its
     uncovered subword does, and that subword introduces letters in
-    increasing order, so the linear scan applies to it.
+    increasing order.
     """
     r = w if isinstance(w, RGS) else RGS(_letters(w))
     letters = r.word

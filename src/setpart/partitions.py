@@ -177,6 +177,19 @@ class SetPartition:
         return "SetPartition.from_text(%r)" % (self.to_text(),)
 
 
+def _parse_letters(text: str) -> tuple:
+    """Letters of a word written "1213", or "1,2,10" when a letter exceeds
+    9; any other text raises MalformedInput."""
+    stripped = text.strip()
+    if not stripped:
+        return ()
+    tokens = stripped.split(",") if "," in stripped else stripped
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise MalformedInput("bad letters in %r" % (text,)) from None
+
+
 class RGS:
     """A restricted growth string: word[0] = 1 and each letter exceeds the
     running maximum by at most one."""
@@ -203,17 +216,7 @@ class RGS:
     def from_text(cls, text: str) -> "RGS":
         """Parse a digit string like "112321442", or comma-separated letters
         when any letter exceeds 9."""
-        stripped = text.strip()
-        if stripped == "":
-            return cls(())
-        if "," in stripped:
-            try:
-                return cls(tuple(int(t) for t in stripped.split(",")))
-            except ValueError:
-                raise MalformedInput("bad letters in %r" % (text,))
-        if not stripped.isdigit():
-            raise MalformedInput("bad letters in %r" % (text,))
-        return cls(tuple(int(ch) for ch in stripped))
+        return cls(_parse_letters(text))
 
     def to_text(self) -> str:
         if any(c > 9 for c in self.word):

@@ -175,9 +175,18 @@ def plan_cells(identity: str, max_n: int, mode: str):
 
 
 def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
-    """Run one cell of a sweep and report the outcome."""
+    """Run one cell of a sweep and report the outcome.
+
+    An exception raised by the checker fails this cell only; its type
+    and message become the counterexample.
+    """
     checker = _CHECKERS[identity]
-    return checker(mode, seed, cell)
+    try:
+        return checker(mode, seed, cell)
+    except Exception as err:
+        return CellResult(
+            cell, False, {"error": type(err).__name__, "message": str(err)}
+        )
 
 
 def run_identity(

@@ -7,7 +7,6 @@ import oracles
 from setpart import bellpoly, numbers
 from setpart.bellpoly import (
     BellPolynomial,
-    BlockProfile,
     Monomial,
     WeightVector,
     complete_bell_by_enumeration,
@@ -216,21 +215,16 @@ class TestWeightVector:
         assert tuple(WeightVector.derangement_pattern(4)) == (0, 1, 2, 6)
 
 
-class TestBlockProfile:
-    def test_of_partition(self):
-        p = SetPartition.from_text("1,2,6/3,5,9/4/7,8")
-        prof = BlockProfile.of_partition(p)
-        assert prof.count_of_size(1) == 1
-        assert prof.count_of_size(2) == 1
-        assert prof.count_of_size(3) == 2
-        assert prof.covered_size() == 9
-        assert prof.to_monomial() == Monomial([(1, 1), (2, 1), (3, 2)])
-
-    def test_trailing_zeros_trimmed(self):
-        assert BlockProfile([1, 0, 0]) == BlockProfile([1])
-
-
 class TestPartitionWeights:
+    def test_worked_example_block_sizes(self):
+        p = SetPartition.from_text("1,2,6/3,5,9/4/7,8")
+        mono = weight_of_partition(p)
+        assert mono.exponent(1) == 1
+        assert mono.exponent(2) == 1
+        assert mono.exponent(3) == 2
+        assert mono.weighted_degree() == 9
+        assert mono == Monomial([(1, 1), (2, 1), (3, 2)])
+
     def test_symbolic_weight_is_profile_monomial(self):
         p = SetPartition.from_text("1,3/2/4,5")
         assert weight_of_partition(p) == Monomial([(1, 1), (2, 2)])

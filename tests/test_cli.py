@@ -62,6 +62,18 @@ class TestNumbers:
         assert code == 2
         assert "nonnegative" in err
 
+    def test_depth_above_ceiling_is_usage_error(self, capsys):
+        for depth in ("1001", "2000"):
+            code, out, err = run_cli(
+                capsys, "numbers", "factorial", "--max-n", depth
+            )
+            assert code == 2
+            assert out == ""
+            assert "error" in err
+        code, out, _ = run_cli(capsys, "numbers", "factorial", "--max-n", "1000")
+        assert code == 0
+        assert len(out.splitlines()) == 1001
+
     def test_table_beyond_golden_range_fails_cleanly(self, capsys):
         code, _, err = run_cli(capsys, "numbers", "a000262", "--max-n", "30")
         assert code == 2
@@ -233,6 +245,19 @@ class TestBellpoly:
         assert code == 2
         assert "4" in err
 
+    def test_bad_weights_rejected_before_expansion(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            setpart.bellpoly, "complete_bell_by_sum", lambda n: calls.append(n)
+        )
+        for weights in ("1,x", "1,1"):
+            code, _, err = run_cli(
+                capsys, "bellpoly", "--n", "40", "--weights", weights
+            )
+            assert code == 2
+            assert "error" in err
+        assert calls == []
+
     def test_unparseable_weights_are_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bellpoly", "--n", "2", "--weights", "a,b")
         assert code == 2
@@ -287,6 +312,23 @@ def _check_console_script(env=None):
     )
     assert bad.returncode == 2, bad.stderr
     assert "nonnegative" in bad.stderr
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        import_root = Path(setpart.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(import_root))
+        ok = subprocess.run(
+            [sys.executable, "-m", "setpart", "numbers", "bell", "--max-n", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.splitlines()[-1] == "3  5"
+        bad = subprocess.run(
+            [sys.executable, "-m", "setpart", "numbers", "bell", "--max-n", "-1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert bad.returncode == 2, bad.stderr
 
 
 class TestConsoleScript:

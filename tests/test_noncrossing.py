@@ -4,7 +4,12 @@ from hypothesis import given
 import oracles
 from strategies import arbitrary_words, rgs_words
 from setpart import noncrossing, numbers
-from setpart.errors import IndexOutOfRange, InvalidRGS, SizeTooLarge
+from setpart.errors import (
+    IndexOutOfRange,
+    InvalidRGS,
+    MalformedInput,
+    SizeTooLarge,
+)
 from setpart.noncrossing import (
     count_cyclic_smirnov_noncrossing,
     count_noncrossing,
@@ -38,13 +43,8 @@ class TestPredicateRoutes:
         assert is_noncrossing(word) == is_noncrossing_bruteforce(word)
 
     def test_pattern_needs_smaller_letter_first(self):
-        # 2121 alternates, but never small-then-large, so it does not
-        # cross; the linear scan would say otherwise, and dispatch must
-        # not hand it words like this
-        from setpart.noncrossing import _is_noncrossing_stack
-
+        # 2121 alternates, but never small-then-large, so it does not cross
         assert is_noncrossing((2, 1, 2, 1))
-        assert not _is_noncrossing_stack((2, 1, 2, 1))
         assert not is_noncrossing((1, 2, 1, 2))
         assert is_noncrossing((2, 2, 1, 1))
 
@@ -65,6 +65,20 @@ class TestPredicateRoutes:
             assert is_noncrossing(text) == is_noncrossing(
                 tuple(int(c) for c in text.replace(",", ""))
             )
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            is_noncrossing,
+            is_noncrossing_bruteforce,
+            is_cyclic_smirnov,
+            covering_reduction,
+        ],
+    )
+    @pytest.mark.parametrize("text", ["12a", "1,x"])
+    def test_malformed_text_is_rejected(self, fn, text):
+        with pytest.raises(MalformedInput):
+            fn(text)
 
 
 class TestEnumeration:

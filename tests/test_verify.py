@@ -4,7 +4,7 @@ import os
 import pytest
 
 import setpart.numbers as numbers_mod
-from setpart import verify
+from setpart import cli, verify
 from setpart.errors import IndexOutOfRange, SizeTooLarge
 
 
@@ -200,6 +200,26 @@ class TestFalsifiedOracle:
         bad = report.failures()
         assert [c.params["n"] for c in bad] == [4]
         assert bad[0].counterexample is not None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_checker_exception_fails_only_its_cell(self, monkeypatch, jobs):
+        orig = numbers_mod.catalan
+
+        def catalan(n):
+            if n == 4:
+                raise RuntimeError("boom at 4")
+            return orig(n)
+
+        monkeypatch.setattr(numbers_mod, "catalan", catalan)
+        report = verify.run_identity("nc-catalan", max_n=6, jobs=jobs)
+        assert [c.params["n"] for c in report.cells] == list(range(7))
+        bad = report.failures()
+        assert [c.params["n"] for c in bad] == [4]
+        assert bad[0].counterexample == {
+            "error": "RuntimeError",
+            "message": "boom at 4",
+        }
+        assert cli.main(["verify", "nc-catalan", "--max-n", "6"]) == 1
 
     def test_broken_involution_pairing_is_caught(self, monkeypatch):
         monkeypatch.setattr(
