@@ -2,7 +2,17 @@
 
 The hot loops behind every partition and non-crossing sweep:
 restricted-growth-string iteration and the pattern-avoiding word counts.
-``NAME`` labels the implementation in benchmark records.
+
+A growth word avoids the pattern 1212 exactly when it follows the
+open-block rule: each letter either opens a new block (one more than the
+largest letter so far) or reuses a letter whose block is still open, and
+reusing a letter closes every block opened after it.  The open letters
+form a stack, oldest first, whose top is the last letter written
+(Simion, "Noncrossing partitions", Discrete Math. 217, 2000).
+
+No public function here calls another public one, so a wrapper around
+each name sees every word once.  ``NAME`` labels the implementation in
+benchmark records.
 """
 
 NAME = "pure"
@@ -36,97 +46,58 @@ def iter_rgs(n):
             m[k] = m[k - 1]
 
 
-def count_rgs(n):
-    """Count restricted growth strings of length n by walking all of them."""
+def _count_words(n, closing, adj_prefix, cyclic):
+    """Count growth words of length n, walking their first n - 1 letters.
+
+    ``stack`` holds the reusable letters and ``top`` the largest so far.
+    ``closing`` applies the open-block rule, so only 1212-avoiding words
+    count; without it every letter stays reusable.  Letter i, for
+    1 <= i <= adj_prefix, may not repeat letter i - 1 (the stack top under
+    ``closing``), and with ``cyclic`` the last letter may not be 1.
+    """
     if n < 0:
         raise ValueError("word length must be nonnegative")
     if n == 0:
         return 1
-    w = [1] * n
-    m = [1] * n
-    count = 0
-    while True:
-        count += 1
-        i = n - 1
-        while i > 0 and w[i] > m[i - 1]:
-            i -= 1
-        if i == 0:
-            return count
-        w[i] += 1
-        if w[i] > m[i]:
-            m[i] = w[i]
-        for k in range(i + 1, n):
-            w[k] = 1
-            m[k] = m[k - 1]
 
+    def walk(i, stack, top):
+        banned = stack[-1] if 1 <= i <= adj_prefix else None
+        if i == n - 1:
+            letters = stack + (top + 1,)
+            return sum(c != banned and not (cyclic and c == 1) for c in letters)
+        total = 0
+        for k, c in enumerate(stack):
+            if c != banned:
+                total += walk(i + 1, stack[: k + 1] if closing else stack, top)
+        return total + walk(i + 1, stack + (top + 1,), top + 1)
 
-def _walk_noncrossing(n, adj_prefix, cyclic, collect):
-    """Backtracking core shared by the non-crossing enumerators.
-
-    Generates restricted growth strings avoiding the value pattern 1212,
-    optionally rejecting words where a letter equals its successor among
-    the first ``adj_prefix`` positions, and (with ``cyclic``) words whose
-    last letter equals the first.  Yields tuples when ``collect`` is true,
-    otherwise counts leaves.
-    """
-    if n == 0:
-        if collect:
-            yield ()
-        else:
-            yield 1
-        return
-    w = [0] * n
-    first = [0] * (n + 2)  # value -> 1 + first position, 0 if unseen
-    last = [0] * (n + 2)
-    bad = [False] * (n + 2)  # bad[v]: some a < v occurs before and after a v
-
-    def extend(i, mx):
-        if i == n:
-            if cyclic and w[n - 1] == w[0]:
-                return
-            if collect:
-                yield tuple(w)
-            else:
-                yield 1
-            return
-        for c in range(1, mx + 2):
-            if bad[c]:
-                continue
-            if 1 <= i <= adj_prefix and w[i - 1] == c:
-                continue
-            w[i] = c
-            seen_before = first[c] != 0
-            saved_last = last[c]
-            last[c] = i + 1
-            newly_bad = []
-            if seen_before:
-                for b in range(c + 1, mx + 1):
-                    if not bad[b] and last[b] > first[c]:
-                        bad[b] = True
-                        newly_bad.append(b)
-            else:
-                first[c] = i + 1
-            yield from extend(i + 1, mx if c <= mx else c)
-            for b in newly_bad:
-                bad[b] = False
-            last[c] = saved_last
-            if not seen_before:
-                first[c] = 0
-
-    yield from extend(0, 0)
+    return walk(0, (), 0)
 
 
 def iter_noncrossing(n):
-    """Yield all 1212-avoiding restricted growth strings of length n."""
+    """Yield the 1212-avoiding growth strings of length n, lazily, in lex order."""
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    return _walk_noncrossing(n, 0, False, True)
+
+    def extend(word, stack, top):
+        if len(word) == n:
+            yield word
+            return
+        for k, c in enumerate(stack):
+            yield from extend(word + (c,), stack[: k + 1], top)
+        yield from extend(word + (top + 1,), stack + (top + 1,), top + 1)
+
+    return extend((), (), 0)
+
+
+def count_rgs(n):
+    """Count restricted growth strings of length n by walking all of them."""
+    return _count_words(n, False, 0, False)
 
 
 def count_noncrossing(n):
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    return sum(_walk_noncrossing(n, 0, False, False))
+    """Count 1212-avoiding restricted growth strings of length n."""
+    return _count_words(n, True, 0, False)
 
 
 def count_noncrossing_cyclic_smirnov(n):
@@ -134,13 +105,9 @@ def count_noncrossing_cyclic_smirnov(n):
 
     A length-1 word is its own cyclic neighbour, so the count at n=1 is 0.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    return sum(_walk_noncrossing(n, max(n - 1, 0), n >= 1, False))
+    return _count_words(n, True, max(n - 1, 0), n >= 1)
 
 
 def count_noncrossing_prefix_smirnov(n, j):
     """Count 1212-avoiding words with w[i] != w[i+1] for the first j positions."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    return sum(_walk_noncrossing(n, j, False, False))
+    return _count_words(n, True, j, False)

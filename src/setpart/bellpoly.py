@@ -23,9 +23,7 @@ from .errors import (
     WeightVectorTooShort,
 )
 from .numbers import factorial
-from .partitions import SetPartition
-
-ENUMERATION_CEILING = 13
+from .partitions import ENUMERATION_CEILING, SetPartition
 
 
 class Monomial:

@@ -3,8 +3,9 @@
 A partition is non-crossing when its growth-string form has no
 subsequence a b a b with a < b.  Two checkers coexist: a quartic
 brute-force reference and a pairwise alternation scan, both valid for
-arbitrary words.  The counting routines push the filters into the
-kernel backtracker and only ever see words that survive.
+arbitrary words.  The counting routines hand their adjacency filters to
+the kernel's open-block walk, which counts the surviving words without
+building them.
 """
 
 from __future__ import annotations

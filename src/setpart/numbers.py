@@ -69,13 +69,21 @@ def catalan_difference(n: int) -> int:
     """Alternating binomial transform of the Catalan numbers.
 
     Counts, among other things, the non-crossing words of length n with
-    no equal cyclically-adjacent letters.
+    no equal cyclically-adjacent letters.  binomial(n, i) and catalan(i)
+    are carried along by exact ratio updates, and a remainder raises
+    NonIntegerCoefficient.
     """
     if n < 0:
         raise NegativeIndex("sequence index must be nonnegative")
-    return sum(
-        (-1) ** (n - i) * binomial(n, i) * catalan(i) for i in range(n + 1)
-    )
+    total = 0
+    choose = cat = 1  # binomial(n, i) and catalan(i) at i = 0
+    for i in range(n + 1):
+        total += (-1) ** (n - i) * choose * cat
+        choose, r_choose = divmod(choose * (n - i), i + 1)
+        cat, r_cat = divmod(cat * 2 * (2 * i + 1), i + 2)
+        if r_choose or r_cat:
+            raise NonIntegerCoefficient("inexact ratio update at i = %d" % (i,))
+    return total
 
 
 def bell_alternating_sum(n: int, j: int) -> int:

@@ -17,7 +17,10 @@ from .errors import (
     InvalidRGS,
     MalformedInput,
     NonContiguousGround,
+    SizeTooLarge,
 )
+
+ENUMERATION_CEILING = 13  # B(13) = 27,644,437 words, walked one by one
 
 
 class GroundSet:
@@ -274,8 +277,12 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
 
 
 def count_partitions(ground) -> int:
-    """Count partitions of the ground set by exhausting the word stream."""
+    """Count partitions of the ground set by walking every growth word."""
     g = GroundSet.of(ground)
+    if len(g) > ENUMERATION_CEILING:
+        raise SizeTooLarge(
+            "partition counts are capped at n = %d" % ENUMERATION_CEILING
+        )
     return _kernels.count_rgs(len(g))
 
 

@@ -107,7 +107,7 @@ class TestCatalanDifference:
     def test_golden_prefix(self):
         assert tuple(numbers.catalan_difference(n) for n in range(13)) == KDIFF
 
-    @pytest.mark.parametrize("n", range(2, 20))
+    @pytest.mark.parametrize("n", range(2, 201))
     def test_holonomic_recurrence(self, n):
         lhs = (n + 1) * numbers.catalan_difference(n)
         rhs = (n - 1) * (

@@ -9,6 +9,7 @@ from setpart.errors import (
     InvalidRGS,
     MalformedInput,
     NonContiguousGround,
+    SizeTooLarge,
 )
 from setpart.partitions import (
     RGS,
@@ -162,6 +163,10 @@ class TestEnumeration:
     def test_count_on_sparse_ground_depends_only_on_size(self):
         assert count_partitions(GroundSet.of((2, 4, 5))) == 5
         assert count_partitions(GroundSet.of(())) == 1
+
+    def test_count_above_ceiling_raises(self):
+        with pytest.raises(SizeTooLarge):
+            count_partitions(partitions.ENUMERATION_CEILING + 1)
 
 
 class TestRGSCoding:

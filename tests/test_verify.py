@@ -4,7 +4,7 @@ import os
 import pytest
 
 import setpart.numbers as numbers_mod
-from setpart import cli, verify
+from setpart import _kernels, cli, verify
 from setpart.errors import IndexOutOfRange, SizeTooLarge
 
 
@@ -200,6 +200,27 @@ class TestFalsifiedOracle:
         bad = report.failures()
         assert [c.params["n"] for c in bad] == [4]
         assert bad[0].counterexample is not None
+
+    @pytest.mark.parametrize(
+        "identity, count",
+        [
+            ("nc-catalan", "count_noncrossing"),
+            ("nc-k", "count_noncrossing_cyclic_smirnov"),
+            ("nc-firstj", "count_noncrossing_prefix_smirnov"),
+        ],
+    )
+    def test_broken_word_count_is_caught(self, monkeypatch, identity, count):
+        orig = getattr(_kernels, count)
+        monkeypatch.setattr(
+            _kernels, count, lambda n, *j: orig(n, *j) + (1 if n == 4 else 0)
+        )
+        report = verify.run_identity(identity, max_n=6)
+        assert not report.passed
+        bad = report.failures()
+        assert [c.params for c in bad] == [
+            c for c in verify.plan_cells(identity, 6, "both") if c["n"] == 4
+        ]
+        assert all(c.counterexample is not None for c in bad)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_checker_exception_fails_only_its_cell(self, monkeypatch, jobs):
