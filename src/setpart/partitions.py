@@ -269,11 +269,27 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
     The order is lexicographic in the partitions' growth-string encoding
     (after order-isomorphic relabeling when the ground is not [n]), and is
     identical between runs.
+
+    Consecutive words mostly differ in the last letter only, so the blocks
+    of the first n - 1 elements are rebuilt only when that prefix changes,
+    and the last element is placed into a copy of them.
     """
     g = GroundSet.of(ground)
-    elems = g.elements
-    for word in _kernels.iter_rgs(len(elems)):
-        yield _partition_from_word(word, elems, g)
+    head, last = g.elements[:-1], g.elements[-1:]
+    prefix = None
+    for word in _kernels.iter_rgs(len(g)):
+        if not word:
+            yield SetPartition._trusted(g, ())
+            continue
+        if word[:-1] != prefix:
+            prefix = word[:-1]
+            base = _partition_from_word(prefix, head, g).blocks
+        c = word[-1]
+        if c > len(base):
+            blocks = base + (last,)
+        else:
+            blocks = base[: c - 1] + (base[c - 1] + last,) + base[c:]
+        yield SetPartition._trusted(g, blocks)
 
 
 def count_partitions(ground) -> int:

@@ -1,8 +1,12 @@
 """Identity verification sweeps and machine-readable reports.
 
 Each identity id names a family of checks over a parameter grid.  A sweep
-produces one cell per parameter point; the report is deterministic in
-both content and order, independent of how the cells were scheduled.
+produces one cell per parameter point; the report lists the cells in
+planned order with the same outcomes however they were scheduled.  A
+parallel sweep hands the cells to its workers one per task in reverse
+planned order, largest n first, so the heaviest cells do not queue up
+behind each other at the end (Graham's LPT rule); each cell records its
+own elapsed time.
 """
 
 from __future__ import annotations
@@ -62,12 +66,15 @@ class CellResult:
     params: dict
     ok: bool
     counterexample: Optional[dict] = None
+    # timing differs between runs, so it takes no part in equality
+    elapsed_s: float = field(default=0.0, compare=False)
 
     def to_jsonable(self):
         return {
             "params": self.params,
             "ok": self.ok,
             "counterexample": self.counterexample,
+            "elapsed_s": round(self.elapsed_s, 6),
         }
 
 
@@ -178,15 +185,19 @@ def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
     """Run one cell of a sweep and report the outcome.
 
     An exception raised by the checker fails this cell only; its type
-    and message become the counterexample.
+    and message become the counterexample.  Either way the result carries
+    the cell's elapsed time.
     """
     checker = _CHECKERS[identity]
+    start = time.perf_counter()
     try:
-        return checker(mode, seed, cell)
+        result = checker(mode, seed, cell)
     except Exception as err:
-        return CellResult(
+        result = CellResult(
             cell, False, {"error": type(err).__name__, "message": str(err)}
         )
+    result.elapsed_s = time.perf_counter() - start
+    return result
 
 
 def run_identity(
@@ -199,7 +210,9 @@ def run_identity(
     """Sweep one identity over its grid and collect the report.
 
     With jobs > 1 the cells run in worker processes, at most one per CPU
-    and one per cell; the report order is the planned order either way.
+    and one per cell.  The workers take one cell per task, in reverse
+    planned order (largest n first); the report order is the planned
+    order either way.
     """
     if max_n is None:
         max_n = default_max_n(identity, mode)
@@ -208,14 +221,13 @@ def run_identity(
     report = VerificationReport(identity, mode, max_n, seed)
     width = min(jobs, os.cpu_count() or 1, len(cells))
     if width > 1:
+        # plan_cells lists every grid by increasing n and a cell's work
+        # grows several-fold per step of n, so the reversed list hands
+        # out the largest cells first
+        tasks = [(identity, mode, seed, c) for c in reversed(cells)]
         with ProcessPoolExecutor(max_workers=width) as pool:
-            results = list(
-                pool.map(
-                    _check_cell_star,
-                    [(identity, mode, seed, c) for c in cells],
-                    chunksize=max(1, len(cells) // (4 * width)),
-                )
-            )
+            results = list(pool.map(_check_cell_star, tasks))
+        results.reverse()
     else:
         results = [check_cell(identity, mode, seed, c) for c in cells]
     report.cells = results

@@ -3,7 +3,7 @@ from hypothesis import given
 
 import oracles
 from strategies import rgs_words
-from setpart import partitions
+from setpart import _kernels, partitions
 from setpart.errors import (
     ElementNotInGround,
     InvalidRGS,
@@ -146,6 +146,30 @@ class TestEnumeration:
             for p in enumerate_partitions(GroundSet.of(ground))
         }
         assert got == set(oracles.partitions_by_placement(ground))
+
+    @pytest.mark.parametrize(
+        "ground",
+        [*range(9), (2, 4, 5), (1, 3), (9,), GroundSet(())],
+        ids=str,
+    )
+    def test_stream_decodes_each_growth_word(self, ground):
+        g = GroundSet.of(ground)
+        stream = list(enumerate_partitions(ground))
+        decoded = [
+            SetPartition(
+                g,
+                [
+                    [e for e, c in zip(g, word) if c == letter]
+                    for letter in range(1, max(word, default=0) + 1)
+                ],
+            )
+            for word in _kernels.iter_rgs(len(g))
+        ]
+        assert stream == decoded
+        assert len(stream) == oracles.bell_by_placement(len(g))
+        for p in stream:
+            canonical = SetPartition(p.ground, p.blocks)
+            assert canonical == p and canonical.blocks == p.blocks
 
     def test_stream_is_deterministic_and_word_ordered(self):
         first = [p.to_text() for p in enumerate_partitions(5)]

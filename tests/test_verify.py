@@ -132,14 +132,28 @@ class TestRunIdentity:
         assert verify.run_identity("thm1", max_n=4, mode=mode).passed
         assert verify.run_identity("cor3", max_n=5, mode=mode).passed
 
-    def test_parallel_run_matches_serial(self):
-        serial = verify.run_identity("involution", max_n=4, jobs=1)
-        parallel = verify.run_identity("involution", max_n=4, jobs=3)
+    @pytest.mark.parametrize(
+        "identity, max_n",
+        [
+            ("involution", 4),
+            ("psi", 4),
+            ("bijections", 5),
+            ("thm2", 4),
+            ("nc-firstj", 6),
+        ],
+    )
+    def test_parallel_run_matches_serial(self, identity, max_n):
+        serial = verify.run_identity(identity, max_n=max_n, jobs=1)
+        parallel = verify.run_identity(identity, max_n=max_n, jobs=2)
         assert serial.cells == parallel.cells
+        assert [c.params for c in parallel.cells] == verify.plan_cells(
+            identity, max_n, "both"
+        )
         assert serial.passed and parallel.passed
 
     def test_pool_width_is_bounded_by_cpus_and_cells(self, monkeypatch):
         widths = []
+        handed = []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -152,7 +166,8 @@ class TestRunIdentity:
                 return False
 
             def map(self, fn, items, chunksize=1):
-                assert chunksize >= 1
+                items = list(items)
+                handed.append((chunksize, [args[3] for args in items]))
                 return map(fn, items)
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
@@ -162,10 +177,15 @@ class TestRunIdentity:
         assert all(w <= min(os.cpu_count() or 1, cells) for w in widths)
         assert wide.cells == serial.cells
         widths.clear()
+        handed.clear()
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
         wide = verify.run_identity("involution", max_n=4, jobs=10_000)
         assert widths == [3]
         assert wide.cells == serial.cells
+        # one cell per task, largest (last planned) first; report in plan order
+        planned = verify.plan_cells("involution", 4, "both")
+        assert handed == [(1, planned[::-1])]
+        assert [c.params for c in wide.cells] == planned
         widths.clear()
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         wide = verify.run_identity("involution", max_n=4, jobs=10_000)
@@ -184,7 +204,10 @@ class TestRunIdentity:
         assert data["identity"] == "nc-k"
         assert data["passed"] is True
         assert data["cell_count"] == len(data["cells"])
-        assert {"params", "ok", "counterexample"} <= set(data["cells"][0])
+        for cell in data["cells"]:
+            assert set(cell) == {"params", "ok", "counterexample", "elapsed_s"}
+            assert isinstance(cell["elapsed_s"], float)
+            assert cell["elapsed_s"] >= 0
 
 
 class TestFalsifiedOracle:
@@ -240,6 +263,7 @@ class TestFalsifiedOracle:
             "error": "RuntimeError",
             "message": "boom at 4",
         }
+        assert bad[0].elapsed_s > 0
         assert cli.main(["verify", "nc-catalan", "--max-n", "6"]) == 1
 
     def test_broken_involution_pairing_is_caught(self, monkeypatch):
