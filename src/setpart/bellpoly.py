@@ -18,6 +18,7 @@ from typing import Iterable, Optional
 from . import _kernels
 from .errors import (
     IndexOutOfRange,
+    MalformedInput,
     NonIntegerCoefficient,
     SizeTooLarge,
     WeightVectorTooShort,
@@ -182,7 +183,7 @@ class BellPolynomial:
         return out
 
     def evaluate(self, weights) -> int:
-        values = tuple(weights)
+        values = _integer_weights(weights)
         need = max((m.max_index() for m in self._terms), default=0)
         if need > len(values):
             raise WeightVectorTooShort(
@@ -219,13 +220,22 @@ class BellPolynomial:
         return "<BellPolynomial %s>" % (self.to_text(),)
 
 
+def _integer_weights(weights) -> tuple:
+    """The weights as a tuple; MalformedInput unless every entry is an int."""
+    values = tuple(weights)
+    for v in values:
+        if not isinstance(v, int):
+            raise MalformedInput("weights must be integers, got %r" % (v,))
+    return values
+
+
 class WeightVector:
     """Integer values for t_1..t_m, with the common specializations."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        self.values = tuple(int(v) for v in values)
+        self.values = _integer_weights(values)
 
     @classmethod
     def ones(cls, m: int) -> "WeightVector":
@@ -288,7 +298,7 @@ def weight_of_partition(p: SetPartition, weights=None):
     mono = _size_monomial(p.blocks)
     if weights is None:
         return mono
-    return mono.evaluate(weights)
+    return mono.evaluate(_integer_weights(weights))
 
 
 def complete_bell_by_enumeration(n: int) -> BellPolynomial:

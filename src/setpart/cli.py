@@ -213,6 +213,12 @@ def _image_text(image) -> str:
 
 
 def _cmd_trace(args) -> int:
+    if args.full and (args.pi is not None or args.S.strip()):
+        print(
+            "error: --full lists the whole carrier; drop --pi and --S",
+            file=sys.stderr,
+        )
+        return 2
     if args.full:
         for lam in involutions.enumerate_carrier(args.n, args.j):
             image = involutions.partner(lam)

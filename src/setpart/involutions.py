@@ -5,9 +5,11 @@ of {1..j} and p partitions the remaining elements of {1..n+1}, signed by
 (-1)^|S|.  A sign-reversing involution toggles the largest marked-or-
 singleton element of {1..j} between the two roles; its fixed points are the
 partitions with no singleton inside {1..j}, and a separate explicit
-bijection recounts those.  The same toggle, weighted by block sizes,
-proves the polynomial identity; singleton-gathering maps prove the
-specialized ones.
+bijection, the singleton-free coding, recounts those.  The same toggle,
+weighted by block sizes, proves the polynomial identity.  The
+singleton-gathering maps behind the specialized identities are the coding
+at n = j and at n = j + 1, and the verifier checks all three with one
+checker.
 """
 
 from __future__ import annotations
@@ -159,12 +161,18 @@ def enumerate_carrier(n: int, j: int) -> Iterator[SignedPair]:
         raise IndexOutOfRange("need 0 <= j <= n")
     if n > CARRIER_CEILING:
         raise SizeTooLarge("carrier sweeps are capped at n = %d" % CARRIER_CEILING)
-    full = range(1, n + 2)
-    for mask in range(1 << j):
-        s = frozenset(e for e in range(1, j + 1) if mask >> (e - 1) & 1)
-        ground = GroundSet(e for e in full if e not in s)
+    for s, ground in _complements(n + 1, range(1, j + 1)):
         for pi in enumerate_partitions(ground):
             yield SignedPair._trusted(n, j, s, pi)
+
+
+def _complements(size: int, choices: range):
+    """Each subset X of choices, in binary-counter order (bit i of the
+    counter picks choices[i]), with the ground set {1..size} minus X."""
+    for mask in range(1 << len(choices)):
+        x = frozenset(e for i, e in enumerate(choices) if mask >> i & 1)
+        rest = tuple(e for e in range(1, size + 1) if e not in x)
+        yield x, GroundSet._trusted(rest)
 
 
 def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:

@@ -311,41 +311,31 @@ def _check_involution(mode, seed, cell):
     return CellResult(cell, True)
 
 
-def _check_psi(mode, seed, cell):
-    n, j = cell["n"], cell["j"]
+def _check_coding(cell, n, j, code):
+    """Check that code is a bijection from the singleton-free coding's
+    domain onto the partitions of {1..n+1} with no singleton in {1..j}.
+
+    The domain is every T inside {j+1..n}, in binary-counter order, with
+    every partition rho of {1..n} minus T.  code(T, rho) returns the
+    image, or the reason its own check failed on that element.
+    """
     image = set()
-    domain_size = 0
-    high = range(j + 1, n + 1)
-    width = n - j
-    for mask in range(1 << width):
-        t = frozenset(
-            e for idx, e in enumerate(high) if mask >> idx & 1
-        )
-        ground = partitions.GroundSet(
-            e for e in range(1, n + 1) if e not in t
-        )
+    count = 0
+    for t, ground in involutions._complements(n, range(j + 1, n + 1)):
         for rho in partitions.enumerate_partitions(ground):
-            domain_size += 1
-            built = involutions.build_singleton_free(n, j, t, rho)
-            t_back, rho_back = involutions.split_singleton_free(n, j, built)
-            if t_back != t or rho_back != rho:
-                return CellResult(
-                    cell,
-                    False,
-                    {
-                        "reason": "round trip failed",
-                        "T": sorted(t),
-                        "rho": rho.to_jsonable(),
-                    },
-                )
-            image.add(built)
+            out = code(t, rho)
+            if not isinstance(out, str):
+                count += 1
+                image.add(out)
+                if len(image) == count:
+                    continue
+                out = "not injective"
+            return CellResult(
+                cell,
+                False,
+                {"reason": out, "T": sorted(t), "rho": rho.to_jsonable()},
+            )
     expected = _no_singleton_targets(n + 1, j)
-    if len(image) != domain_size:
-        return CellResult(
-            cell,
-            False,
-            {"reason": "not injective", "image": len(image), "domain": domain_size},
-        )
     if image != expected:
         missed = next(iter(expected - image), None)
         extra = next(iter(image - expected), None)
@@ -359,6 +349,18 @@ def _check_psi(mode, seed, cell):
             },
         )
     return CellResult(cell, True)
+
+
+def _check_psi(mode, seed, cell):
+    n, j = cell["n"], cell["j"]
+
+    def code(t, rho):
+        built = involutions.build_singleton_free(n, j, t, rho)
+        if involutions.split_singleton_free(n, j, built) != (t, rho):
+            return "round trip failed"
+        return built
+
+    return _check_coding(cell, n, j, code)
 
 
 def _check_cor(variant):
@@ -397,61 +399,20 @@ def _check_bijections(mode, seed, cell):
     j = cell["j"]
     part = cell["part"]
     if part == "gather-one":
-        image = set()
-        count = 0
-        for src in partitions.enumerate_partitions(j):
-            count += 1
-            image.add(involutions.gather_singletons(src))
-        expected = _no_singleton_targets(j + 1, j)
-        if len(image) != count or image != expected:
-            return CellResult(
-                cell,
-                False,
-                {
-                    "reason": "gather-one image mismatch",
-                    "image": len(image),
-                    "domain": count,
-                    "expected": len(expected),
-                },
-            )
-    elif part == "gather-two":
-        image_a = set()
-        image_b = set()
-        count = 0
-        for src in partitions.enumerate_partitions(j):
-            count += 1
-            out = involutions.gather_singletons_two(src, j)
-            if not _shares_block(out, j + 1, j + 2):
-                return CellResult(
-                    cell,
-                    False,
-                    {"reason": "first case split", "src": src.to_jsonable()},
-                )
-            image_a.add(out)
-        for src in partitions.enumerate_partitions(j + 1):
-            count += 1
-            out = involutions.gather_singletons_two(src, j)
-            if _shares_block(out, j + 1, j + 2):
-                return CellResult(
-                    cell,
-                    False,
-                    {"reason": "second case split", "src": src.to_jsonable()},
-                )
-            image_b.add(out)
-        image = image_a | image_b
-        expected = _no_singleton_targets(j + 2, j)
-        if len(image) != count or image != expected:
-            return CellResult(
-                cell,
-                False,
-                {
-                    "reason": "gather-two image mismatch",
-                    "image": len(image),
-                    "domain": count,
-                    "expected": len(expected),
-                },
-            )
-    elif part == "classes":
+        return _check_coding(
+            cell, j, j, lambda t, rho: involutions.gather_singletons(rho)
+        )
+    if part == "gather-two":
+
+        def code(t, rho):
+            # T = {j+1} is the source on {1..j}; j+1 then joins j+2
+            out = involutions.gather_singletons_two(rho, j)
+            if (j + 2 in partitions.block_containing(out, j + 1)) != bool(t):
+                return "case split"
+            return out
+
+        return _check_coding(cell, j + 1, j, code)
+    if part == "classes":
         c_sets = {}
         d_sets = {}
         for p in partitions.enumerate_partitions(j):
@@ -493,15 +454,11 @@ def _check_bijections(mode, seed, cell):
     return CellResult(cell, True)
 
 
-def _shares_block(p, a, b):
-    return b in partitions.block_containing(p, a)
-
-
 def _check_thm2(mode, seed, cell):
     n, j = cell["n"], cell["j"]
+    lhs = involutions.weighted_alternating_sum(n, j)
+    rhs = involutions.weighted_binomial_sum(n, j)
     if cell.get("check") == "numeric":
-        lhs = involutions.weighted_alternating_sum(n, j)
-        rhs = involutions.weighted_binomial_sum(n, j)
         for vec in random_weight_vectors(seed, n + 1):
             lv = lhs.evaluate(vec)
             rv = rhs.evaluate(vec)
@@ -512,8 +469,6 @@ def _check_thm2(mode, seed, cell):
                     {"weights": list(vec), "lhs": str(lv), "rhs": str(rv)},
                 )
         return CellResult(cell, True)
-    lhs = involutions.weighted_alternating_sum(n, j)
-    rhs = involutions.weighted_binomial_sum(n, j)
     if mode in ("closed-form", "both") and lhs != rhs:
         return CellResult(
             cell, False, {"lhs": lhs.to_text(), "rhs": rhs.to_text()}

@@ -15,6 +15,7 @@ from setpart.bellpoly import (
     weight_of_partition,
 )
 from setpart.errors import (
+    MalformedInput,
     NonIntegerCoefficient,
     SizeTooLarge,
     WeightVectorTooShort,
@@ -214,6 +215,16 @@ class TestWeightVector:
         assert tuple(WeightVector.shifted_factorials(4)) == (1, 1, 2, 6)
         assert tuple(WeightVector.derangement_pattern(4)) == (0, 1, 2, 6)
 
+    @pytest.mark.parametrize("values", [[1.5, 3], [1, "3"], [2.0], [1, None]])
+    def test_non_integer_entries_are_rejected(self, values):
+        with pytest.raises(MalformedInput):
+            WeightVector(values)
+
+    @pytest.mark.parametrize("values", [[1.5, 2], [1, "2"], [2.0, 1.0]])
+    def test_evaluate_rejects_non_integer_weights(self, values):
+        with pytest.raises(MalformedInput):
+            complete_bell_by_sum(2).evaluate(values)
+
 
 class TestPartitionWeights:
     def test_worked_example_block_sizes(self):
@@ -232,6 +243,8 @@ class TestPartitionWeights:
     def test_numeric_weight_multiplies_block_weights(self):
         p = SetPartition.from_text("1,3/2/4,5")
         assert weight_of_partition(p, WeightVector([3, 5])) == 75
+        with pytest.raises(MalformedInput):
+            weight_of_partition(p, [3, 5.0])
 
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=3))
     def test_numeric_equals_symbolic_evaluated(self, n, t):

@@ -174,6 +174,17 @@ class TestTrace:
         assert all(len(line.split(" | ")) == 4 for line in lines)
         assert sum(1 for line in lines if line.endswith("FIXED")) == 3
 
+    @pytest.mark.parametrize(
+        "extra", [("--pi", "1/2"), ("--S", "1"), ("--S", "1", "--pi", "2/3,4")]
+    )
+    def test_full_with_a_pair_is_usage_error(self, capsys, extra):
+        code, out, err = run_cli(
+            capsys, "trace", "--n", "3", "--j", "1", "--full", *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert "--full" in err
+
     def test_missing_partition_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--n", "3", "--j", "1")
         assert code == 2

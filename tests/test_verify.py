@@ -4,8 +4,9 @@ import os
 import pytest
 
 import setpart.numbers as numbers_mod
-from setpart import _kernels, cli, verify
+from setpart import _kernels, cli, involutions, verify
 from setpart.errors import IndexOutOfRange, SizeTooLarge
+from setpart.partitions import SetPartition, block_containing
 
 
 SMALL_DEPTH = {
@@ -272,3 +273,80 @@ class TestFalsifiedOracle:
         )
         report = verify.run_identity("psi", max_n=3)
         assert not report.passed
+        assert {c.counterexample["reason"] for c in report.failures()} == {
+            "image mismatch"
+        }
+
+    @staticmethod
+    def failing(report):
+        return [(c.params, c.counterexample["reason"]) for c in report.failures()]
+
+    def test_lossy_split_fails_the_psi_round_trip(self, monkeypatch):
+        orig = involutions.split_singleton_free
+        monkeypatch.setattr(
+            involutions,
+            "split_singleton_free",
+            lambda n, j, p: (frozenset(), orig(n, j, p)[1]),
+        )
+        report = verify.run_identity("psi", max_n=3)
+        # only cells with a nonempty T inside {j+1..n} can lose it
+        assert self.failing(report) == [
+            ({"n": n, "j": j}, "round trip failed")
+            for n in range(4)
+            for j in range(n)
+        ]
+        for c in report.failures():
+            assert c.counterexample["T"] == [c.params["j"] + 1]
+
+    def test_collapsing_gather_one_is_not_injective(self, monkeypatch):
+        monkeypatch.setattr(
+            involutions,
+            "gather_singletons",
+            lambda src: SetPartition.from_blocks([range(1, len(src.ground) + 2)]),
+        )
+        report = verify.run_identity("bijections", max_n=4)
+        # at j <= 1 the domain has one element, so one block is a bijection
+        assert self.failing(report) == [
+            ({"j": j, "part": "gather-one"}, "not injective") for j in range(2, 5)
+        ]
+
+    def test_gather_two_case_split_is_checked(self, monkeypatch):
+        orig = involutions.gather_singletons_two
+
+        def joined(src, j):
+            out = orig(src, j)
+            if len(src.ground) == j:
+                return out
+            a = block_containing(out, j + 1)
+            b = block_containing(out, j + 2)
+            rest = [x for x in out.blocks if x not in (a, b)]
+            return SetPartition.from_blocks(rest + [a + b])
+
+        monkeypatch.setattr(involutions, "gather_singletons_two", joined)
+        report = verify.run_identity("bijections", max_n=4)
+        assert self.failing(report) == [
+            ({"j": j, "part": "gather-two"}, "case split") for j in range(5)
+        ]
+        report = verify.run_identity("cor3", max_n=4, mode="enumerative")
+        assert self.failing(report) == [({"j": j}, "case split") for j in range(5)]
+        assert report.failures()[0].counterexample == {
+            "reason": "case split",
+            "T": [],
+            "rho": [[1]],
+        }
+
+    def test_partner_without_sign_flip_is_caught(self, monkeypatch):
+        orig = involutions.partner
+
+        def unsigned(lam):
+            image = orig(lam)
+            return image if image is involutions.FIXED else lam
+
+        monkeypatch.setattr(involutions, "partner", unsigned)
+        report = verify.run_identity("involution", max_n=3)
+        # at j = 0 every pair is fixed
+        assert self.failing(report) == [
+            ({"n": n, "j": j}, "sign not reversed")
+            for n in range(4)
+            for j in range(1, n + 1)
+        ]
