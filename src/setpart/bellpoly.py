@@ -26,6 +26,9 @@ from .errors import (
 from .numbers import factorial
 from .partitions import ENUMERATION_CEILING, SetPartition
 
+# the formula route builds p(n) monomials for Y_n; p(60) = 966,467
+POLY_CEILING = 60
+
 
 class Monomial:
     """A product of variables t_i with positive integer exponents, sparse."""
@@ -78,11 +81,15 @@ class Monomial:
         return self.pairs[-1][0] if self.pairs else 0
 
     def evaluate(self, values) -> int:
-        vals = list(values)
+        vals = _integer_weights(values)
         if self.pairs and self.pairs[-1][0] > len(vals):
             raise WeightVectorTooShort(
                 "need %d weights, got %d" % (self.pairs[-1][0], len(vals))
             )
+        return self._product(vals)
+
+    def _product(self, vals) -> int:
+        # unchecked: vals holds integers for every index in this monomial
         out = 1
         for i, e in self.pairs:
             out *= vals[i - 1] ** e
@@ -189,7 +196,7 @@ class BellPolynomial:
             raise WeightVectorTooShort(
                 "need %d weights, got %d" % (need, len(values))
             )
-        return sum(c * m.evaluate(values) for m, c in self._terms.items())
+        return sum(c * m._product(values) for m, c in self._terms.items())
 
     def to_text(self) -> str:
         parts = []
@@ -221,10 +228,11 @@ class BellPolynomial:
 
 
 def _integer_weights(weights) -> tuple:
-    """The weights as a tuple; MalformedInput unless every entry is an int."""
+    """The weights as a tuple; MalformedInput unless every entry is an int
+    (bool excluded)."""
     values = tuple(weights)
     for v in values:
-        if not isinstance(v, int):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise MalformedInput("weights must be integers, got %r" % (v,))
     return values
 
@@ -298,7 +306,7 @@ def weight_of_partition(p: SetPartition, weights=None):
     mono = _size_monomial(p.blocks)
     if weights is None:
         return mono
-    return mono.evaluate(_integer_weights(weights))
+    return mono.evaluate(weights)
 
 
 def complete_bell_by_enumeration(n: int) -> BellPolynomial:
@@ -347,10 +355,13 @@ def partial_bell(n: int, r: int) -> BellPolynomial:
     Each partition of the integer n into r block sizes, with r_i blocks
     of size i, contributes n! / (prod r_i! * prod (i!)^{r_i}) times
     prod t_i^{r_i}.  Each coefficient is an exact integer division, and
-    a nonzero remainder raises NonIntegerCoefficient.
+    a nonzero remainder raises NonIntegerCoefficient.  n is capped at
+    POLY_CEILING.
     """
     if n < 0 or r < 0 or r > n:
         raise IndexOutOfRange("need 0 <= r <= n")
+    if n > POLY_CEILING:
+        raise SizeTooLarge("polynomial builders are capped at n = %d" % POLY_CEILING)
     terms = []
     n_fact = factorial(n)
     for parts in _parts(n, r, n):
@@ -368,7 +379,10 @@ def partial_bell(n: int, r: int) -> BellPolynomial:
 
 
 def complete_bell_by_sum(n: int) -> BellPolynomial:
-    """The full polynomial as the sum of its fixed-block-count parts."""
+    """The full polynomial as the sum of its fixed-block-count parts.
+
+    n is capped at POLY_CEILING; the first part, r = 0, checks it.
+    """
     if n < 0:
         raise IndexOutOfRange("need n >= 0")
     out = BellPolynomial.zero()

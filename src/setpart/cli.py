@@ -13,11 +13,16 @@ import json
 import sys
 
 from . import bellpoly, involutions, numbers, verify
-from .errors import SetpartError
+from .errors import (
+    IndexOutOfRange,
+    MalformedInput,
+    SetpartError,
+    SizeTooLarge,
+    WeightVectorTooShort,
+)
 from .partitions import SetPartition
 
 SYMBOLIC_POLY_CEILING = 13
-NUMERIC_POLY_CEILING = 60
 NUMBERS_CEILING = 1000
 
 _NUMBER_KINDS = {
@@ -104,11 +109,9 @@ def entry():
 
 def _cmd_numbers(args) -> int:
     if args.max_n < 0:
-        print("error: --max-n must be nonnegative", file=sys.stderr)
-        return 2
+        raise IndexOutOfRange("--max-n must be nonnegative")
     if args.max_n > NUMBERS_CEILING:
-        print("error: --max-n is capped at %d" % (NUMBERS_CEILING,), file=sys.stderr)
-        return 2
+        raise SizeTooLarge("--max-n is capped at %d" % (NUMBERS_CEILING,))
     fn = getattr(numbers, _NUMBER_KINDS[args.kind])
     values = [fn(n) for n in range(args.max_n + 1)]
     if args.format == "json":
@@ -135,8 +138,7 @@ def _cmd_numbers(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
+        raise MalformedInput("--jobs must be at least 1")
     report = verify.run_identity(
         args.identity,
         max_n=args.max_n,
@@ -214,11 +216,7 @@ def _image_text(image) -> str:
 
 def _cmd_trace(args) -> int:
     if args.full and (args.pi is not None or args.S.strip()):
-        print(
-            "error: --full lists the whole carrier; drop --pi and --S",
-            file=sys.stderr,
-        )
-        return 2
+        raise MalformedInput("--full lists the whole carrier; drop --pi and --S")
     if args.full:
         for lam in involutions.enumerate_carrier(args.n, args.j):
             image = involutions.partner(lam)
@@ -233,15 +231,11 @@ def _cmd_trace(args) -> int:
             )
         return 0
     if args.pi is None:
-        print(
-            "error: --pi is required unless --full is given", file=sys.stderr
-        )
-        return 2
+        raise MalformedInput("--pi is required unless --full is given")
     try:
         marks = _parse_marks(args.S)
     except ValueError:
-        print("error: bad marked-element list %r" % (args.S,), file=sys.stderr)
-        return 2
+        raise MalformedInput("bad marked-element list %r" % (args.S,)) from None
     pi = SetPartition.from_text(args.pi)
     lam = involutions.SignedPair(args.n, args.j, marks, pi)
     print(
@@ -264,27 +258,20 @@ def _cmd_trace(args) -> int:
 def _cmd_bellpoly(args) -> int:
     n = args.n
     if n < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return 2
+        raise IndexOutOfRange("--n must be nonnegative")
     ceiling = (
-        NUMERIC_POLY_CEILING if args.weights is not None else SYMBOLIC_POLY_CEILING
+        bellpoly.POLY_CEILING if args.weights is not None else SYMBOLIC_POLY_CEILING
     )
     if n > ceiling:
-        print("error: --n is capped at %d here" % (ceiling,), file=sys.stderr)
-        return 2
+        raise SizeTooLarge("--n is capped at %d here" % (ceiling,))
     if args.weights is not None:
         try:
             weights = [int(t) for t in args.weights.replace(" ", "").split(",")]
         except ValueError:
-            print("error: bad weight list %r" % (args.weights,), file=sys.stderr)
-            return 2
+            raise MalformedInput("bad weight list %r" % (args.weights,)) from None
         # Y_n contains t_n for every n >= 1
         if len(weights) < n:
-            print(
-                "error: need %d weights, got %d" % (n, len(weights)),
-                file=sys.stderr,
-            )
-            return 2
+            raise WeightVectorTooShort("need %d weights, got %d" % (n, len(weights)))
     poly = bellpoly.complete_bell_by_sum(n)
     if args.weights is None:
         if args.format == "json":

@@ -31,7 +31,7 @@ class GroundSet:
     def __init__(self, elements: Iterable[int]):
         raw = tuple(elements)
         for e in raw:
-            if not isinstance(e, int) or e < 1:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                 raise MalformedInput("ground elements must be integers >= 1")
         elems = tuple(sorted(raw))
         for a, b in zip(elems, elems[1:]):
@@ -203,7 +203,7 @@ class RGS:
         w = tuple(word)
         mx = 0
         for c in w:
-            if not isinstance(c, int) or c < 1 or c > mx + 1:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1 or c > mx + 1:
                 raise InvalidRGS("not a restricted growth string: %r" % (list(w),))
             if c > mx:
                 mx = c

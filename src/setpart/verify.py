@@ -7,6 +7,9 @@ parallel sweep hands the cells to its workers one per task in reverse
 planned order, largest n first, so the heaviest cells do not queue up
 behind each other at the end (Graham's LPT rule); each cell records its
 own elapsed time.
+
+Each identity is declared once, in the _IDENTITIES table at the end of
+the module: its checker, its grid, its default depth and its ceilings.
 """
 
 from __future__ import annotations
@@ -16,41 +19,12 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import bellpoly, involutions, noncrossing, numbers, partitions
+from . import involutions, noncrossing, numbers, partitions
 from .errors import IndexOutOfRange, SizeTooLarge
 
-IDENTITIES = (
-    "thm1",
-    "cor2",
-    "cor3",
-    "cor4",
-    "thm2",
-    "nc-catalan",
-    "nc-k",
-    "nc-firstj",
-    "involution",
-    "psi",
-    "bijections",
-)
-
 MODES = ("closed-form", "enumerative", "both")
-
-# identity -> (default max_n, hard ceiling for closed-form, for enumerative)
-_LIMITS = {
-    "thm1": (12, 40, involutions.CARRIER_CEILING),
-    "cor2": (12, 40, 10),
-    "cor3": (12, 40, 10),
-    "cor4": (12, 40, 10),
-    "thm2": (10, 10, involutions.SYMBOLIC_CEILING),
-    "nc-catalan": (12, noncrossing.WORD_CEILING, noncrossing.WORD_CEILING),
-    "nc-k": (12, noncrossing.WORD_CEILING, noncrossing.WORD_CEILING),
-    "nc-firstj": (10, noncrossing.WORD_CEILING, noncrossing.WORD_CEILING),
-    "involution": (9, involutions.CARRIER_CEILING, involutions.CARRIER_CEILING),
-    "psi": (9, 10, 10),
-    "bijections": (9, 10, 10),
-}
 
 # in "both" mode the enumerative half of a mixed sweep self-limits here
 # while the closed half keeps going; pass mode=enumerative to force a
@@ -59,6 +33,15 @@ BIJECTIVE_DEPTH = 9
 
 THM2_NUMERIC_VECTORS = 20
 THM2_NUMERIC_SPAN = 3  # entries drawn from [-3, 3]
+
+
+class _Identity(NamedTuple):
+    # checker(mode, seed, cell) -> CellResult; grid(max_n, mode) -> cells
+    checker: Callable
+    grid: Callable
+    default: int
+    closed_ceiling: int
+    enumerative_ceiling: int
 
 
 @dataclass
@@ -108,14 +91,14 @@ class VerificationReport:
 
 
 def default_max_n(identity: str, mode: str = "both") -> int:
-    return min(_LIMITS[identity][0], _ceiling(identity, mode))
+    return min(_IDENTITIES[identity].default, _ceiling(identity, mode))
 
 
 def _ceiling(identity: str, mode: str) -> int:
-    closed, enum = _LIMITS[identity][1], _LIMITS[identity][2]
+    entry = _IDENTITIES[identity]
     if mode == "enumerative":
-        return enum
-    return max(closed, enum)
+        return entry.enumerative_ceiling
+    return max(entry.closed_ceiling, entry.enumerative_ceiling)
 
 
 def random_weight_vectors(seed: int, length: int, count: int = THM2_NUMERIC_VECTORS):
@@ -132,7 +115,7 @@ def random_weight_vectors(seed: int, length: int, count: int = THM2_NUMERIC_VECT
 
 def plan_cells(identity: str, max_n: int, mode: str):
     """The deterministic cell list for a sweep."""
-    if identity not in IDENTITIES:
+    if identity not in _IDENTITIES:
         raise IndexOutOfRange("unknown identity %r" % (identity,))
     if mode not in MODES:
         raise IndexOutOfRange("unknown mode %r" % (mode,))
@@ -143,42 +126,49 @@ def plan_cells(identity: str, max_n: int, mode: str):
             "%s sweeps in mode %s are capped at max_n = %d"
             % (identity, mode, _ceiling(identity, mode))
         )
-    cells = []
-    if identity in ("thm1", "involution", "psi"):
-        for n in range(max_n + 1):
-            for j in range(n + 1):
-                cells.append({"n": n, "j": j})
-    elif identity in ("cor2", "cor3"):
-        for j in range(max_n + 1):
-            cells.append({"j": j})
-    elif identity == "cor4":
-        for j in range(2, max_n + 1):
-            cells.append({"j": j})
-    elif identity == "bijections":
-        for j in range(max_n + 1):
-            for part in ("gather-one", "gather-two", "classes"):
-                if part == "classes" and j < 2:
-                    continue
-                cells.append({"j": j, "part": part})
-    elif identity == "thm2":
-        sym_top = min(max_n, involutions.SYMBOLIC_CEILING)
-        for n in range(sym_top + 1):
-            for j in range(n + 1):
-                cells.append({"n": n, "j": j})
-        if mode != "enumerative":
-            # past the symbolic ceiling the check degrades to evaluating
-            # both sides at fixed pseudo-random weight vectors
-            for n in range(sym_top + 1, max_n + 1):
-                for j in range(n + 1):
-                    cells.append({"n": n, "j": j, "check": "numeric"})
-    elif identity in ("nc-catalan", "nc-k"):
-        for n in range(max_n + 1):
-            cells.append({"n": n})
-    elif identity == "nc-firstj":
-        for n in range(1, max_n + 1):
-            for j in range(n):
-                cells.append({"n": n, "j": j})
+    return _IDENTITIES[identity].grid(max_n, mode)
+
+
+def _triangle(max_n, mode):
+    return [{"n": n, "j": j} for n in range(max_n + 1) for j in range(n + 1)]
+
+
+def _window(start):
+    def grid(max_n, mode):
+        return [{"j": j} for j in range(start, max_n + 1)]
+
+    return grid
+
+
+def _parts_grid(max_n, mode):
+    return [
+        {"j": j, "part": part}
+        for j in range(max_n + 1)
+        for part in _PARTS
+        if part != "classes" or j >= 2
+    ]
+
+
+def _thm2_grid(max_n, mode):
+    sym_top = min(max_n, involutions.SYMBOLIC_CEILING)
+    cells = _triangle(sym_top, mode)
+    if mode != "enumerative":
+        # past the symbolic ceiling the check degrades to evaluating
+        # both sides at fixed pseudo-random weight vectors
+        cells += [
+            {"n": n, "j": j, "check": "numeric"}
+            for n in range(sym_top + 1, max_n + 1)
+            for j in range(n + 1)
+        ]
     return cells
+
+
+def _line(max_n, mode):
+    return [{"n": n} for n in range(max_n + 1)]
+
+
+def _prefix_grid(max_n, mode):
+    return [{"n": n, "j": j} for n in range(1, max_n + 1) for j in range(n)]
 
 
 def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
@@ -188,7 +178,7 @@ def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
     and message become the counterexample.  Either way the result carries
     the cell's elapsed time.
     """
-    checker = _CHECKERS[identity]
+    checker = _IDENTITIES[identity].checker
     start = time.perf_counter()
     try:
         result = checker(mode, seed, cell)
@@ -363,7 +353,7 @@ def _check_psi(mode, seed, cell):
     return _check_coding(cell, n, j, code)
 
 
-def _check_cor(variant):
+def _check_cor(variant, part):
     def check(mode, seed, cell):
         j = cell["j"]
         lhs = numbers.singleton_identity_lhs(j, variant)
@@ -371,16 +361,7 @@ def _check_cor(variant):
         if mode in ("closed-form", "both") and lhs != rhs:
             return CellResult(cell, False, {"lhs": str(lhs), "rhs": str(rhs)})
         if mode == "enumerative" or (mode == "both" and j <= BIJECTIVE_DEPTH):
-            part = {
-                "collapse": "gather-one",
-                "pair": "gather-two",
-                "alternating": "classes",
-            }[variant]
-            inner = _check_bijections(
-                mode, seed, {"j": j, "part": part}
-            )
-            if not inner.ok:
-                return CellResult(cell, False, inner.counterexample)
+            return _PARTS[part](cell, j)
         return CellResult(cell, True)
 
     return check
@@ -396,62 +377,67 @@ def _no_singleton_targets(size, j):
 
 
 def _check_bijections(mode, seed, cell):
-    j = cell["j"]
-    part = cell["part"]
-    if part == "gather-one":
-        return _check_coding(
-            cell, j, j, lambda t, rho: involutions.gather_singletons(rho)
-        )
-    if part == "gather-two":
+    check = _PARTS.get(cell["part"])
+    if check is None:
+        raise IndexOutOfRange("unknown bijection part %r" % (cell["part"],))
+    return check(cell, cell["j"])
 
-        def code(t, rho):
-            # T = {j+1} is the source on {1..j}; j+1 then joins j+2
-            out = involutions.gather_singletons_two(rho, j)
-            if (j + 2 in partitions.block_containing(out, j + 1)) != bool(t):
-                return "case split"
-            return out
 
-        return _check_coding(cell, j + 1, j, code)
-    if part == "classes":
-        c_sets = {}
-        d_sets = {}
-        for p in partitions.enumerate_partitions(j):
-            for label in involutions.classify_cd(p, j):
-                bucket = c_sets if label.kind == "C" else d_sets
-                bucket.setdefault(label.index, set()).add(p)
-        if d_sets.get(1):
+def _check_gather_one(cell, j):
+    return _check_coding(cell, j, j, lambda t, rho: involutions.gather_singletons(rho))
+
+
+def _check_gather_two(cell, j):
+    def code(t, rho):
+        # T = {j+1} is the source on {1..j}; j+1 then joins j+2
+        out = involutions.gather_singletons_two(rho, j)
+        if (j + 2 in partitions.block_containing(out, j + 1)) != bool(t):
+            return "case split"
+        return out
+
+    return _check_coding(cell, j + 1, j, code)
+
+
+def _check_classes(cell, j):
+    c_sets = {}
+    d_sets = {}
+    for p in partitions.enumerate_partitions(j):
+        for label in involutions.classify_cd(p, j):
+            bucket = c_sets if label.kind == "C" else d_sets
+            bucket.setdefault(label.index, set()).add(p)
+    if d_sets.get(1):
+        return CellResult(cell, False, {"reason": "class D_1 is not empty"})
+    for m in range(2, j):
+        if d_sets.get(m, set()) != c_sets.get(m - 1, set()):
             return CellResult(
-                cell, False, {"reason": "class D_1 is not empty"}
+                cell, False, {"reason": "class overlap identity fails", "index": m}
             )
-        for m in range(2, j):
-            if d_sets.get(m, set()) != c_sets.get(m - 1, set()):
-                return CellResult(
-                    cell,
-                    False,
-                    {"reason": "class overlap identity fails", "index": m},
-                )
-        for m in range(1, j):
-            total = len(c_sets.get(m, ())) + len(d_sets.get(m, ()))
-            if total != numbers.bell(m):
-                return CellResult(
-                    cell,
-                    False,
-                    {
-                        "reason": "class size sum is not a Bell number",
-                        "index": m,
-                        "total": total,
-                    },
-                )
-        top = len(c_sets.get(j - 1, ()))
-        if top != numbers.singleton_identity_lhs(j, "alternating"):
+    for m in range(1, j):
+        total = len(c_sets.get(m, ())) + len(d_sets.get(m, ()))
+        if total != numbers.bell(m):
             return CellResult(
                 cell,
                 False,
-                {"reason": "top class size mismatch", "size": top},
+                {
+                    "reason": "class size sum is not a Bell number",
+                    "index": m,
+                    "total": total,
+                },
             )
-    else:
-        raise IndexOutOfRange("unknown bijection part %r" % (part,))
+    top = len(c_sets.get(j - 1, ()))
+    if top != numbers.singleton_identity_lhs(j, "alternating"):
+        return CellResult(
+            cell, False, {"reason": "top class size mismatch", "size": top}
+        )
     return CellResult(cell, True)
+
+
+# the order of the parts is also their order within a bijections grid row
+_PARTS = {
+    "gather-one": _check_gather_one,
+    "gather-two": _check_gather_two,
+    "classes": _check_classes,
+}
 
 
 def _check_thm2(mode, seed, cell):
@@ -484,45 +470,48 @@ def _check_thm2(mode, seed, cell):
     return CellResult(cell, True)
 
 
-def _check_nc_catalan(mode, seed, cell):
-    n = cell["n"]
-    got = noncrossing.count_noncrossing(n)
-    want = numbers.catalan(n)
-    if got != want:
-        return CellResult(cell, False, {"count": str(got), "catalan": str(want)})
-    return CellResult(cell, True)
+def _check_nc(count, closed, key):
+    """A checker comparing a noncrossing word count with its closed form.
+
+    Both are looked up by name when the cell runs; the cell's parameters,
+    in order, are the arguments of each.
+    """
+
+    def check(mode, seed, cell):
+        args = tuple(cell.values())
+        got = getattr(noncrossing, count)(*args)
+        want = getattr(numbers, closed)(*args)
+        if got != want:
+            return CellResult(cell, False, {"count": str(got), key: str(want)})
+        return CellResult(cell, True)
+
+    return check
 
 
-def _check_nc_k(mode, seed, cell):
-    n = cell["n"]
-    got = noncrossing.count_cyclic_smirnov_noncrossing(n)
-    want = numbers.catalan_difference(n)
-    if got != want:
-        return CellResult(cell, False, {"count": str(got), "difference": str(want)})
-    return CellResult(cell, True)
+_check_nc_catalan = _check_nc("count_noncrossing", "catalan", "catalan")
+_check_nc_k = _check_nc(
+    "count_cyclic_smirnov_noncrossing", "catalan_difference", "difference"
+)
+_check_nc_firstj = _check_nc(
+    "count_prefix_smirnov_noncrossing", "catalan_partial_sum", "partial_sum"
+)
 
+_CARRIER = involutions.CARRIER_CEILING
+_WORDS = noncrossing.WORD_CEILING
 
-def _check_nc_firstj(mode, seed, cell):
-    n, j = cell["n"], cell["j"]
-    got = noncrossing.count_prefix_smirnov_noncrossing(n, j)
-    want = numbers.catalan_partial_sum(n, j)
-    if got != want:
-        return CellResult(
-            cell, False, {"count": str(got), "partial_sum": str(want)}
-        )
-    return CellResult(cell, True)
-
-
-_CHECKERS = {
-    "thm1": _check_thm1,
-    "cor2": _check_cor("collapse"),
-    "cor3": _check_cor("pair"),
-    "cor4": _check_cor("alternating"),
-    "thm2": _check_thm2,
-    "nc-catalan": _check_nc_catalan,
-    "nc-k": _check_nc_k,
-    "nc-firstj": _check_nc_firstj,
-    "involution": _check_involution,
-    "psi": _check_psi,
-    "bijections": _check_bijections,
+# token: checker, grid, default max_n, closed-form ceiling, enumerative ceiling
+_IDENTITIES = {
+    "thm1": _Identity(_check_thm1, _triangle, 12, 40, _CARRIER),
+    "cor2": _Identity(_check_cor("collapse", "gather-one"), _window(0), 12, 40, 10),
+    "cor3": _Identity(_check_cor("pair", "gather-two"), _window(0), 12, 40, 10),
+    "cor4": _Identity(_check_cor("alternating", "classes"), _window(2), 12, 40, 10),
+    "thm2": _Identity(_check_thm2, _thm2_grid, 10, 10, involutions.SYMBOLIC_CEILING),
+    "nc-catalan": _Identity(_check_nc_catalan, _line, 12, _WORDS, _WORDS),
+    "nc-k": _Identity(_check_nc_k, _line, 12, _WORDS, _WORDS),
+    "nc-firstj": _Identity(_check_nc_firstj, _prefix_grid, 10, _WORDS, _WORDS),
+    "involution": _Identity(_check_involution, _triangle, 9, _CARRIER, _CARRIER),
+    "psi": _Identity(_check_psi, _triangle, 9, 10, 10),
+    "bijections": _Identity(_check_bijections, _parts_grid, 9, 10, 10),
 }
+
+IDENTITIES = tuple(_IDENTITIES)

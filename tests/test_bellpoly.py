@@ -56,6 +56,11 @@ class TestMonomial:
         with pytest.raises(WeightVectorTooShort):
             m.evaluate([2, 9])
 
+    @pytest.mark.parametrize("values", [[1.5], [True], [2, "3"]])
+    def test_evaluate_rejects_non_integer_weights(self, values):
+        with pytest.raises(MalformedInput):
+            Monomial([(1, 2)]).evaluate(values)
+
     @given(st.lists(st.tuples(
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=0, max_value=4),
@@ -175,6 +180,15 @@ class TestPartialSplit:
                     assert total_blocks == r
                     assert mono.weighted_degree() == n
 
+    def test_ceiling_enforced(self):
+        assert bellpoly.POLY_CEILING == 60
+        assert partial_bell(60, 59).terms() == [(Monomial([(1, 58), (2, 1)]), 1770)]
+        with pytest.raises(SizeTooLarge):
+            partial_bell(61, 1)
+        # refused before any of its p(100) = 190,569,292 terms is built
+        with pytest.raises(SizeTooLarge):
+            complete_bell_by_sum(100)
+
 
 class TestSpecializations:
     @pytest.mark.parametrize("n", range(11))
@@ -215,12 +229,16 @@ class TestWeightVector:
         assert tuple(WeightVector.shifted_factorials(4)) == (1, 1, 2, 6)
         assert tuple(WeightVector.derangement_pattern(4)) == (0, 1, 2, 6)
 
-    @pytest.mark.parametrize("values", [[1.5, 3], [1, "3"], [2.0], [1, None]])
+    @pytest.mark.parametrize(
+        "values", [[1.5, 3], [1, "3"], [2.0], [1, None], [True, 2]]
+    )
     def test_non_integer_entries_are_rejected(self, values):
         with pytest.raises(MalformedInput):
             WeightVector(values)
 
-    @pytest.mark.parametrize("values", [[1.5, 2], [1, "2"], [2.0, 1.0]])
+    @pytest.mark.parametrize(
+        "values", [[1.5, 2], [1, "2"], [2.0, 1.0], [True, False]]
+    )
     def test_evaluate_rejects_non_integer_weights(self, values):
         with pytest.raises(MalformedInput):
             complete_bell_by_sum(2).evaluate(values)

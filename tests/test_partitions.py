@@ -54,6 +54,10 @@ class TestGroundSet:
         with pytest.raises(MalformedInput):
             GroundSet.range_n(-1)
 
+    def test_rejects_bool_elements(self):
+        with pytest.raises(MalformedInput):
+            GroundSet([True, 2])
+
 
 class TestSetPartition:
     def test_blocks_sorted_by_minimum(self):
@@ -114,6 +118,12 @@ class TestRGS:
             RGS([1, 2, 4])
         with pytest.raises(InvalidRGS):
             RGS([1, 0])
+
+    def test_rejects_bool_letters(self):
+        with pytest.raises(InvalidRGS):
+            RGS([True])
+        with pytest.raises(InvalidRGS):
+            RGS([1, True, 2])
 
     def test_from_text_forms(self):
         assert RGS.from_text("1213") == RGS([1, 2, 1, 3])
