@@ -40,6 +40,10 @@ class Monomial:
         items = exponents.items() if hasattr(exponents, "items") else exponents
         merged = {}
         for i, e in items:
+            if type(i) is not int or type(e) is not int:
+                raise MalformedInput(
+                    "variable indices and exponents must be integers: %r" % ((i, e),)
+                )
             if i < 1 or e < 0:
                 raise IndexOutOfRange("variable indices start at 1, exponents at 0")
             if e:

@@ -143,7 +143,8 @@ class SetPartition:
                 raise MalformedInput("empty block in %r" % (text,))
             elems = []
             for tok in part.split(","):
-                if not tok.isdigit():
+                # isdigit() also admits digits such as "²" that int() rejects
+                if not tok.isdecimal():
                     raise MalformedInput("bad element %r in %r" % (tok, text))
                 elems.append(int(tok))
             blocks.append(elems)

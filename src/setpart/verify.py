@@ -10,6 +10,10 @@ own elapsed time.
 
 Each identity is declared once, in the _IDENTITIES table at the end of
 the module: its checker, its grid, its default depth and its ceilings.
+Most identities are checked twice, by a closed form and by a sweep over
+the structures behind it; check_cell alone decides from the mode and the
+cell's size which of the two halves a cell runs, and a checker only
+returns a counterexample (or None) for the halves it is asked to run.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from .errors import IndexOutOfRange, SizeTooLarge
 
 MODES = ("closed-form", "enumerative", "both")
 
-# in "both" mode the enumerative half of a mixed sweep self-limits here
-# while the closed half keeps going; pass mode=enumerative to force a
-# hard error instead
+# in "both" mode check_cell stops running the sweep half of a mixed
+# identity past this size while the closed half keeps going; pass
+# mode=enumerative to force a hard error instead
 BIJECTIVE_DEPTH = 9
 
 THM2_NUMERIC_VECTORS = 20
@@ -36,7 +40,8 @@ THM2_NUMERIC_SPAN = 3  # entries drawn from [-3, 3]
 
 
 class _Identity(NamedTuple):
-    # checker(mode, seed, cell) -> CellResult; grid(max_n, mode) -> cells
+    # checker(cell, seed, closed, sweep) -> None or a counterexample dict,
+    # running the closed and the sweep half as asked; grid(max_n) -> cells
     checker: Callable
     grid: Callable
     default: int
@@ -126,21 +131,18 @@ def plan_cells(identity: str, max_n: int, mode: str):
             "%s sweeps in mode %s are capped at max_n = %d"
             % (identity, mode, _ceiling(identity, mode))
         )
-    return _IDENTITIES[identity].grid(max_n, mode)
+    return _IDENTITIES[identity].grid(max_n)
 
 
-def _triangle(max_n, mode):
+def _triangle(max_n):
     return [{"n": n, "j": j} for n in range(max_n + 1) for j in range(n + 1)]
 
 
 def _window(start):
-    def grid(max_n, mode):
-        return [{"j": j} for j in range(start, max_n + 1)]
-
-    return grid
+    return lambda max_n: [{"j": j} for j in range(start, max_n + 1)]
 
 
-def _parts_grid(max_n, mode):
+def _parts_grid(max_n):
     return [
         {"j": j, "part": part}
         for j in range(max_n + 1)
@@ -149,45 +151,52 @@ def _parts_grid(max_n, mode):
     ]
 
 
-def _thm2_grid(max_n, mode):
+def _thm2_grid(max_n):
+    # past the symbolic ceiling the check degrades to evaluating both
+    # sides at fixed pseudo-random weight vectors
     sym_top = min(max_n, involutions.SYMBOLIC_CEILING)
-    cells = _triangle(sym_top, mode)
-    if mode != "enumerative":
-        # past the symbolic ceiling the check degrades to evaluating
-        # both sides at fixed pseudo-random weight vectors
-        cells += [
-            {"n": n, "j": j, "check": "numeric"}
-            for n in range(sym_top + 1, max_n + 1)
-            for j in range(n + 1)
-        ]
-    return cells
+    return _triangle(sym_top) + [
+        {"n": n, "j": j, "check": "numeric"}
+        for n in range(sym_top + 1, max_n + 1)
+        for j in range(n + 1)
+    ]
 
 
-def _line(max_n, mode):
+def _line(max_n):
     return [{"n": n} for n in range(max_n + 1)]
 
 
-def _prefix_grid(max_n, mode):
+def _prefix_grid(max_n):
     return [{"n": n, "j": j} for n in range(1, max_n + 1) for j in range(n)]
 
 
 def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
     """Run one cell of a sweep and report the outcome.
 
+    This is where the mode is applied.  The closed half runs unless the
+    mode is enumerative.  The sweep half runs in enumerative mode, and in
+    both mode while the cell's size (n, else j) is within BIJECTIVE_DEPTH
+    and the enumerative ceiling.  An identity with no closed half sweeps
+    in every mode.
+
     An exception raised by the checker fails this cell only; its type
     and message become the counterexample.  Either way the result carries
     the cell's elapsed time.
     """
-    checker = _IDENTITIES[identity].checker
+    entry = _IDENTITIES[identity]
     start = time.perf_counter()
     try:
-        result = checker(mode, seed, cell)
+        if entry.closed_ceiling:
+            closed = mode != "enumerative"
+            size = cell["n"] if "n" in cell else cell["j"]
+            depth = min(BIJECTIVE_DEPTH, entry.enumerative_ceiling)
+            sweep = mode == "enumerative" or (mode == "both" and size <= depth)
+        else:
+            closed, sweep = False, True
+        found = entry.checker(cell, seed, closed, sweep)
     except Exception as err:
-        result = CellResult(
-            cell, False, {"error": type(err).__name__, "message": str(err)}
-        )
-    result.elapsed_s = time.perf_counter() - start
-    return result
+        found = {"error": type(err).__name__, "message": str(err)}
+    return CellResult(cell, found is None, found, time.perf_counter() - start)
 
 
 def run_identity(
@@ -229,35 +238,26 @@ def _check_cell_star(args):
     return check_cell(*args)
 
 
-def _pair_payload(lam) -> dict:
-    return {
-        "S": sorted(lam.S),
-        "pi": lam.pi.to_jsonable(),
-    }
+def _pair_failure(reason, lam) -> dict:
+    return {"reason": reason, "pair": {"S": sorted(lam.S), "pi": lam.pi.to_jsonable()}}
 
 
-def _check_thm1(mode, seed, cell):
+def _check_thm1(cell, seed, closed, sweep):
     n, j = cell["n"], cell["j"]
     lhs = numbers.bell_alternating_sum(n, j)
     rhs = numbers.bell_binomial_sum(n, j)
-    if mode in ("closed-form", "both") and lhs != rhs:
-        return CellResult(cell, False, {"lhs": str(lhs), "rhs": str(rhs)})
-    if mode == "enumerative" or (mode == "both" and n <= BIJECTIVE_DEPTH):
-        signed = 0
-        for lam in involutions.enumerate_carrier(n, j):
-            signed += lam.sign
+    if closed and lhs != rhs:
+        return {"lhs": str(lhs), "rhs": str(rhs)}
+    if sweep:
+        signed = sum(lam.sign for lam in involutions.enumerate_carrier(n, j))
         if signed != rhs:
-            return CellResult(
-                cell, False, {"signed_sum": str(signed), "rhs": str(rhs)}
-            )
+            return {"signed_sum": str(signed), "rhs": str(rhs)}
         if signed != lhs:
-            return CellResult(
-                cell, False, {"signed_sum": str(signed), "lhs": str(lhs)}
-            )
-    return CellResult(cell, True)
+            return {"signed_sum": str(signed), "lhs": str(lhs)}
+    return None
 
 
-def _check_involution(mode, seed, cell):
+def _check_involution(cell, seed, closed, sweep):
     n, j = cell["n"], cell["j"]
     signed = 0
     fixed = 0
@@ -266,42 +266,19 @@ def _check_involution(mode, seed, cell):
         image = involutions.partner(lam)
         if image is involutions.FIXED:
             fixed += 1
-            if lam.S or any(
-                len(b) == 1 and b[0] <= j for b in lam.pi.blocks
-            ):
-                return CellResult(
-                    cell,
-                    False,
-                    {"reason": "false fixed point", "pair": _pair_payload(lam)},
-                )
-        else:
-            if image.sign != -lam.sign:
-                return CellResult(
-                    cell,
-                    False,
-                    {"reason": "sign not reversed", "pair": _pair_payload(lam)},
-                )
-            if involutions.partner(image) != lam:
-                return CellResult(
-                    cell,
-                    False,
-                    {"reason": "not an involution", "pair": _pair_payload(lam)},
-                )
+            if lam.S or any(len(b) == 1 and b[0] <= j for b in lam.pi.blocks):
+                return _pair_failure("false fixed point", lam)
+        elif image.sign != -lam.sign:
+            return _pair_failure("sign not reversed", lam)
+        elif involutions.partner(image) != lam:
+            return _pair_failure("not an involution", lam)
     rhs = numbers.bell_binomial_sum(n, j)
     if not signed == fixed == rhs:
-        return CellResult(
-            cell,
-            False,
-            {
-                "signed_sum": str(signed),
-                "fixed_count": str(fixed),
-                "rhs": str(rhs),
-            },
-        )
-    return CellResult(cell, True)
+        return {"signed_sum": str(signed), "fixed_count": str(fixed), "rhs": str(rhs)}
+    return None
 
 
-def _check_coding(cell, n, j, code):
+def _check_coding(n, j, code):
     """Check that code is a bijection from the singleton-free coding's
     domain onto the partitions of {1..n+1} with no singleton in {1..j}.
 
@@ -320,28 +297,20 @@ def _check_coding(cell, n, j, code):
                 if len(image) == count:
                     continue
                 out = "not injective"
-            return CellResult(
-                cell,
-                False,
-                {"reason": out, "T": sorted(t), "rho": rho.to_jsonable()},
-            )
+            return {"reason": out, "T": sorted(t), "rho": rho.to_jsonable()}
     expected = _no_singleton_targets(n + 1, j)
     if image != expected:
         missed = next(iter(expected - image), None)
         extra = next(iter(image - expected), None)
-        return CellResult(
-            cell,
-            False,
-            {
-                "reason": "image mismatch",
-                "missing": missed.to_jsonable() if missed else None,
-                "extra": extra.to_jsonable() if extra else None,
-            },
-        )
-    return CellResult(cell, True)
+        return {
+            "reason": "image mismatch",
+            "missing": missed.to_jsonable() if missed else None,
+            "extra": extra.to_jsonable() if extra else None,
+        }
+    return None
 
 
-def _check_psi(mode, seed, cell):
+def _check_psi(cell, seed, closed, sweep):
     n, j = cell["n"], cell["j"]
 
     def code(t, rho):
@@ -350,19 +319,17 @@ def _check_psi(mode, seed, cell):
             return "round trip failed"
         return built
 
-    return _check_coding(cell, n, j, code)
+    return _check_coding(n, j, code)
 
 
 def _check_cor(variant, part):
-    def check(mode, seed, cell):
+    def check(cell, seed, closed, sweep):
         j = cell["j"]
         lhs = numbers.singleton_identity_lhs(j, variant)
         rhs = numbers.singleton_identity_rhs(j, variant)
-        if mode in ("closed-form", "both") and lhs != rhs:
-            return CellResult(cell, False, {"lhs": str(lhs), "rhs": str(rhs)})
-        if mode == "enumerative" or (mode == "both" and j <= BIJECTIVE_DEPTH):
-            return _PARTS[part](cell, j)
-        return CellResult(cell, True)
+        if closed and lhs != rhs:
+            return {"lhs": str(lhs), "rhs": str(rhs)}
+        return _PARTS[part](j) if sweep else None
 
     return check
 
@@ -376,18 +343,18 @@ def _no_singleton_targets(size, j):
     }
 
 
-def _check_bijections(mode, seed, cell):
+def _check_bijections(cell, seed, closed, sweep):
     check = _PARTS.get(cell["part"])
     if check is None:
         raise IndexOutOfRange("unknown bijection part %r" % (cell["part"],))
-    return check(cell, cell["j"])
+    return check(cell["j"])
 
 
-def _check_gather_one(cell, j):
-    return _check_coding(cell, j, j, lambda t, rho: involutions.gather_singletons(rho))
+def _check_gather_one(j):
+    return _check_coding(j, j, lambda t, rho: involutions.gather_singletons(rho))
 
 
-def _check_gather_two(cell, j):
+def _check_gather_two(j):
     def code(t, rho):
         # T = {j+1} is the source on {1..j}; j+1 then joins j+2
         out = involutions.gather_singletons_two(rho, j)
@@ -395,10 +362,10 @@ def _check_gather_two(cell, j):
             return "case split"
         return out
 
-    return _check_coding(cell, j + 1, j, code)
+    return _check_coding(j + 1, j, code)
 
 
-def _check_classes(cell, j):
+def _check_classes(j):
     c_sets = {}
     d_sets = {}
     for p in partitions.enumerate_partitions(j):
@@ -406,30 +373,22 @@ def _check_classes(cell, j):
             bucket = c_sets if label.kind == "C" else d_sets
             bucket.setdefault(label.index, set()).add(p)
     if d_sets.get(1):
-        return CellResult(cell, False, {"reason": "class D_1 is not empty"})
+        return {"reason": "class D_1 is not empty"}
     for m in range(2, j):
         if d_sets.get(m, set()) != c_sets.get(m - 1, set()):
-            return CellResult(
-                cell, False, {"reason": "class overlap identity fails", "index": m}
-            )
+            return {"reason": "class overlap identity fails", "index": m}
     for m in range(1, j):
         total = len(c_sets.get(m, ())) + len(d_sets.get(m, ()))
         if total != numbers.bell(m):
-            return CellResult(
-                cell,
-                False,
-                {
-                    "reason": "class size sum is not a Bell number",
-                    "index": m,
-                    "total": total,
-                },
-            )
+            return {
+                "reason": "class size sum is not a Bell number",
+                "index": m,
+                "total": total,
+            }
     top = len(c_sets.get(j - 1, ()))
     if top != numbers.singleton_identity_lhs(j, "alternating"):
-        return CellResult(
-            cell, False, {"reason": "top class size mismatch", "size": top}
-        )
-    return CellResult(cell, True)
+        return {"reason": "top class size mismatch", "size": top}
+    return None
 
 
 # the order of the parts is also their order within a bijections grid row
@@ -440,7 +399,7 @@ _PARTS = {
 }
 
 
-def _check_thm2(mode, seed, cell):
+def _check_thm2(cell, seed, closed, sweep):
     n, j = cell["n"], cell["j"]
     lhs = involutions.weighted_alternating_sum(n, j)
     rhs = involutions.weighted_binomial_sum(n, j)
@@ -449,41 +408,31 @@ def _check_thm2(mode, seed, cell):
             lv = lhs.evaluate(vec)
             rv = rhs.evaluate(vec)
             if lv != rv:
-                return CellResult(
-                    cell,
-                    False,
-                    {"weights": list(vec), "lhs": str(lv), "rhs": str(rv)},
-                )
-        return CellResult(cell, True)
-    if mode in ("closed-form", "both") and lhs != rhs:
-        return CellResult(
-            cell, False, {"lhs": lhs.to_text(), "rhs": rhs.to_text()}
-        )
-    if mode in ("enumerative", "both"):
+                return {"weights": list(vec), "lhs": str(lv), "rhs": str(rv)}
+        return None
+    if closed and lhs != rhs:
+        return {"lhs": lhs.to_text(), "rhs": rhs.to_text()}
+    if sweep:
         carrier = involutions.weighted_carrier_sum(n, j)
         if carrier != lhs or carrier != rhs:
-            return CellResult(
-                cell,
-                False,
-                {"carrier": carrier.to_text(), "lhs": lhs.to_text()},
-            )
-    return CellResult(cell, True)
+            return {"carrier": carrier.to_text(), "lhs": lhs.to_text()}
+    return None
 
 
-def _check_nc(count, closed, key):
+def _check_nc(count, closed_form, key):
     """A checker comparing a noncrossing word count with its closed form.
 
     Both are looked up by name when the cell runs; the cell's parameters,
     in order, are the arguments of each.
     """
 
-    def check(mode, seed, cell):
+    def check(cell, seed, closed, sweep):
         args = tuple(cell.values())
         got = getattr(noncrossing, count)(*args)
-        want = getattr(numbers, closed)(*args)
+        want = getattr(numbers, closed_form)(*args)
         if got != want:
-            return CellResult(cell, False, {"count": str(got), key: str(want)})
-        return CellResult(cell, True)
+            return {"count": str(got), key: str(want)}
+        return None
 
     return check
 
@@ -499,19 +448,20 @@ _check_nc_firstj = _check_nc(
 _CARRIER = involutions.CARRIER_CEILING
 _WORDS = noncrossing.WORD_CEILING
 
-# token: checker, grid, default max_n, closed-form ceiling, enumerative ceiling
+# token: checker, grid, default max_n, closed-form ceiling (0: the
+# identity has no closed half and sweeps in every mode), enumerative ceiling
 _IDENTITIES = {
     "thm1": _Identity(_check_thm1, _triangle, 12, 40, _CARRIER),
     "cor2": _Identity(_check_cor("collapse", "gather-one"), _window(0), 12, 40, 10),
     "cor3": _Identity(_check_cor("pair", "gather-two"), _window(0), 12, 40, 10),
     "cor4": _Identity(_check_cor("alternating", "classes"), _window(2), 12, 40, 10),
     "thm2": _Identity(_check_thm2, _thm2_grid, 10, 10, involutions.SYMBOLIC_CEILING),
-    "nc-catalan": _Identity(_check_nc_catalan, _line, 12, _WORDS, _WORDS),
-    "nc-k": _Identity(_check_nc_k, _line, 12, _WORDS, _WORDS),
-    "nc-firstj": _Identity(_check_nc_firstj, _prefix_grid, 10, _WORDS, _WORDS),
-    "involution": _Identity(_check_involution, _triangle, 9, _CARRIER, _CARRIER),
-    "psi": _Identity(_check_psi, _triangle, 9, 10, 10),
-    "bijections": _Identity(_check_bijections, _parts_grid, 9, 10, 10),
+    "nc-catalan": _Identity(_check_nc_catalan, _line, 12, 0, _WORDS),
+    "nc-k": _Identity(_check_nc_k, _line, 12, 0, _WORDS),
+    "nc-firstj": _Identity(_check_nc_firstj, _prefix_grid, 10, 0, _WORDS),
+    "involution": _Identity(_check_involution, _triangle, 9, 0, _CARRIER),
+    "psi": _Identity(_check_psi, _triangle, 9, 0, 10),
+    "bijections": _Identity(_check_bijections, _parts_grid, 9, 0, 10),
 }
 
 IDENTITIES = tuple(_IDENTITIES)

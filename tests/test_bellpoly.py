@@ -61,6 +61,12 @@ class TestMonomial:
         with pytest.raises(MalformedInput):
             Monomial([(1, 2)]).evaluate(values)
 
+    @pytest.mark.parametrize("pairs", [[(2, 0.5)], [(1.5, 2)], [(True, 2)]])
+    def test_rejects_non_integer_indices_and_exponents(self, pairs):
+        # a float exponent would evaluate to a float, and True would read as t1
+        with pytest.raises(MalformedInput):
+            Monomial(pairs)
+
     @given(st.lists(st.tuples(
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=0, max_value=4),

@@ -196,6 +196,14 @@ class TestTrace:
         )
         assert code == 2
 
+    def test_superscript_digit_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trace", "--n", "2", "--j", "1", "--pi", "1,\u00b2/3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_wrong_ground_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "trace", "--n", "3", "--j", "1", "--pi", "1,2/3",

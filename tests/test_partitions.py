@@ -94,6 +94,12 @@ class TestSetPartition:
         with pytest.raises(MalformedInput):
             SetPartition.from_text("1//2")
 
+    @pytest.mark.parametrize("text", ["1,\u00b2/3", "\u00b3"])
+    def test_from_text_rejects_digits_int_cannot_read(self, text):
+        # superscripts pass str.isdigit() but not int()
+        with pytest.raises(MalformedInput):
+            SetPartition.from_text(text)
+
     def test_equality_and_hash(self):
         a = SetPartition.from_text("1,2/3")
         b = SetPartition.from_blocks([[3], [2, 1]])

@@ -1,9 +1,11 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import setpart
+from setpart import verify
 
 PACKAGE = Path(setpart.__file__).parent
 
@@ -20,3 +22,11 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_token_table_lists_every_identity():
+    # the table right after "`verify` identity tokens:" in the README
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("`verify` identity tokens:\n\n", 1)[1].split("\n\n", 1)[0]
+    tokens = re.findall(r"^\| `([^`]+)`", table, re.MULTILINE)
+    assert tokens == list(verify.IDENTITIES)

@@ -211,6 +211,40 @@ class TestRunIdentity:
             assert cell["elapsed_s"] >= 0
 
 
+class TestModePolicy:
+    """Which halves of a check a mode runs, seen by making the sweep
+    halves of thm1 (the carrier) and cor2 (the gather-one map) raise."""
+
+    BOOM = {"error": "RuntimeError", "message": "sweep half ran"}
+
+    @pytest.fixture(autouse=True)
+    def raising_sweeps(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("sweep half ran")
+
+        monkeypatch.setattr(involutions, "enumerate_carrier", boom)
+        monkeypatch.setattr(involutions, "gather_singletons", boom)
+
+    @pytest.mark.parametrize("identity, size", [("thm1", "n"), ("cor2", "j")])
+    @pytest.mark.parametrize(
+        "mode, deepest_sweep", [("enumerative", 10), ("both", 9), ("closed-form", -1)]
+    )
+    def test_mixed_identity_sweeps_by_mode(self, identity, size, mode, deepest_sweep):
+        report = verify.run_identity(identity, max_n=10, mode=mode)
+        planned = verify.plan_cells(identity, 10, mode)
+        assert [c.params for c in report.cells] == planned
+        assert [c.params for c in report.failures()] == [
+            c for c in planned if c[size] <= deepest_sweep
+        ]
+        assert all(c.counterexample == self.BOOM for c in report.failures())
+
+    @pytest.mark.parametrize("mode", verify.MODES)
+    def test_sweep_only_identity_sweeps_in_every_mode(self, mode):
+        report = verify.run_identity("involution", max_n=10, mode=mode)
+        assert len(report.cells) == 66
+        assert all(c.counterexample == self.BOOM for c in report.cells)
+
+
 class TestFalsifiedOracle:
     def test_broken_closed_form_is_caught(self, monkeypatch):
         orig = numbers_mod.catalan
