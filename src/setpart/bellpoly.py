@@ -6,9 +6,12 @@ polynomial in t_1..t_n; restricting to partitions with exactly r blocks
 gives its fixed-block-count part.  Two independent constructions of the
 full polynomial (partition enumeration, and the multinomial formula per
 block-count) are kept side by side so they can be checked against each
-other.  The formula route walks the integer partitions of n and divides
-exactly in integers; it never forms a rational.  A partition's weight is
-a sparse Monomial with one factor t_size per block.
+other.  The formula route walks the integer partitions of n as (size,
+multiplicity) pairs and divides exactly in integers; it never forms a
+rational.  A partition's weight is a sparse Monomial with one factor
+t_size per block.  The builders here make each monomial once, already
+canonical, through the unchecked Monomial._trusted, and add every part
+of a sum into one dict; the public Monomial(...) checks its input.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ class Monomial:
         self.pairs = tuple(sorted(merged.items()))
 
     @classmethod
+    def _trusted(cls, pairs) -> "Monomial":
+        # pairs: a tuple sorted by int index >= 1, each exponent an int >= 1
+        mono = object.__new__(cls)
+        mono.pairs = pairs
+        return mono
+
+    @classmethod
     def one(cls) -> "Monomial":
         return cls(())
 
@@ -72,7 +82,7 @@ class Monomial:
         merged = dict(self.pairs)
         for i, e in other.pairs:
             merged[i] = merged.get(i, 0) + e
-        return Monomial(merged)
+        return Monomial._trusted(tuple(sorted(merged.items())))
 
     def dense(self, width: int) -> tuple:
         vec = [0] * width
@@ -148,6 +158,13 @@ class BellPolynomial:
         self._terms = acc
 
     @classmethod
+    def _trusted(cls, terms: dict) -> "BellPolynomial":
+        # terms: Monomial -> nonzero int, owned by the result from now on
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "BellPolynomial":
         return cls(())
 
@@ -169,29 +186,11 @@ class BellPolynomial:
     def __add__(self, other):
         if not isinstance(other, BellPolynomial):
             return NotImplemented
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = merged.get(mono, 0) + coeff
-            if new:
-                merged[mono] = new
-            else:
-                merged.pop(mono, None)
-        out = BellPolynomial.zero()
-        out._terms = merged
-        return out
+        return _combination(((self, 1, None), (other, 1, None)))
 
     def scaled(self, coeff: int, mono: Optional[Monomial] = None) -> "BellPolynomial":
         """This polynomial times a constant and, optionally, a monomial."""
-        out = BellPolynomial.zero()
-        if coeff == 0:
-            return out
-        if mono is None or not mono.pairs:
-            out._terms = {m: c * coeff for m, c in self._terms.items()}
-        else:
-            out._terms = {
-                m.times(mono): c * coeff for m, c in self._terms.items()
-            }
-        return out
+        return _combination(((self, coeff, mono),))
 
     def evaluate(self, weights) -> int:
         values = _integer_weights(weights)
@@ -229,6 +228,24 @@ class BellPolynomial:
 
     def __repr__(self):
         return "<BellPolynomial %s>" % (self.to_text(),)
+
+
+def _combination(parts) -> BellPolynomial:
+    """The sum of coeff * mono * poly over (poly, coeff, mono) in parts,
+    added term by term into one dict; mono None stands for 1."""
+    acc = {}
+    get = acc.get
+    for poly, coeff, mono in parts:
+        if mono is None or not mono.pairs:
+            for m, c in poly._terms.items():
+                acc[m] = get(m, 0) + c * coeff
+        else:
+            for m, c in poly._terms.items():
+                m = m.times(mono)
+                acc[m] = get(m, 0) + c * coeff
+    for m in [m for m, c in acc.items() if not c]:
+        del acc[m]
+    return BellPolynomial._trusted(acc)
 
 
 def _integer_weights(weights) -> tuple:
@@ -292,11 +309,10 @@ class WeightVector:
         return "WeightVector(%r)" % (list(self.values),)
 
 
-def _size_monomial(blocks, ones: int = 0) -> Monomial:
-    """t_{size} per block, times t_1 to the power ones."""
+def _size_monomial(sizes, ones: int = 0) -> Monomial:
+    """t_{size} per block size, times t_1 to the power ones."""
     counts = {1: ones}
-    for b in blocks:
-        size = len(b)
+    for size in sizes:
         counts[size] = counts.get(size, 0) + 1
     return Monomial(counts)
 
@@ -307,7 +323,7 @@ def weight_of_partition(p: SetPartition, weights=None):
     With a weight vector, returns the integer value of that product
     instead of the symbolic monomial.
     """
-    mono = _size_monomial(p.blocks)
+    mono = _size_monomial(map(len, p.blocks))
     if weights is None:
         return mono
     return mono.evaluate(weights)
@@ -337,49 +353,50 @@ def complete_bell_by_enumeration(n: int) -> BellPolynomial:
     )
 
 
-def _parts(total, count, top):
-    """Yield the partitions of total into exactly count parts of size at
-    most top, largest part first.
-
-    A part p obeys ceil(total/count) <= p <= min(top, total - count + 1),
-    so the other count - 1 parts can always take up the rest.
-    """
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    for p in range(min(top, total - count + 1), -(-total // count) - 1, -1):
-        for rest in _parts(total - p, count - 1, p):
-            yield (p,) + rest
-
-
 def partial_bell(n: int, r: int) -> BellPolynomial:
     """The part of the full polynomial coming from exactly r blocks.
 
     Each partition of the integer n into r block sizes, with r_i blocks
     of size i, contributes n! / (prod r_i! * prod (i!)^{r_i}) times
-    prod t_i^{r_i}.  Each coefficient is an exact integer division, and
-    a nonzero remainder raises NonIntegerCoefficient.  n is capped at
-    POLY_CEILING.
+    prod t_i^{r_i}.  One recursive walk picks (size, multiplicity) pairs,
+    sizes descending, and carries the denominator down; each finished
+    walk is one trusted Monomial.  Each coefficient is an exact integer
+    division, and a nonzero remainder raises NonIntegerCoefficient.  n
+    is capped at POLY_CEILING.
     """
     if n < 0 or r < 0 or r > n:
         raise IndexOutOfRange("need 0 <= r <= n")
     if n > POLY_CEILING:
         raise SizeTooLarge("polynomial builders are capped at n = %d" % POLY_CEILING)
-    terms = []
-    n_fact = factorial(n)
-    for parts in _parts(n, r, n):
-        mono = Monomial((i, 1) for i in parts)
-        denom = 1
-        for i, r_i in mono.pairs:
-            denom *= factorial(r_i) * factorial(i) ** r_i
-        coeff, rem = divmod(n_fact, denom)
-        if rem:
-            raise NonIntegerCoefficient(
-                "coefficient %d/%d for block sizes %r" % (n_fact, denom, parts)
-            )
-        terms.append((mono, coeff))
-    return BellPolynomial(terms)
+    fact = [factorial(i) for i in range(n + 1)]
+    terms = {}
+    stack = []  # the (size, multiplicity) pairs chosen so far
+
+    def walk(total, count, top, denom):
+        # count parts of size at most top still have to sum to total
+        if not count:
+            if total:
+                return
+            coeff, rem = divmod(fact[n], denom)
+            if rem:
+                raise NonIntegerCoefficient(
+                    "coefficient %d/%d for (size, count) pairs %r"
+                    % (fact[n], denom, stack)
+                )
+            terms[Monomial._trusted(tuple(reversed(stack)))] = coeff
+            return
+        # the largest part s is at least ceil(total / count) and leaves at
+        # least 1 for each other part; m parts of size s leave count - m
+        # parts in [1, s - 1] to make up the rest
+        for s in range(min(top, total - count + 1), -(-total // count) - 1, -1):
+            most = count if s == 1 else min(count, (total - count) // (s - 1))
+            for m in range(max(1, total - count * (s - 1)), most + 1):
+                stack.append((s, m))
+                walk(total - m * s, count - m, s - 1, denom * fact[m] * fact[s] ** m)
+                stack.pop()
+
+    walk(n, r, n, 1)
+    return BellPolynomial._trusted(terms)
 
 
 def complete_bell_by_sum(n: int) -> BellPolynomial:
@@ -389,7 +406,4 @@ def complete_bell_by_sum(n: int) -> BellPolynomial:
     """
     if n < 0:
         raise IndexOutOfRange("need n >= 0")
-    out = BellPolynomial.zero()
-    for r in range(n + 1):
-        out = out + partial_bell(n, r)
-    return out
+    return _combination((partial_bell(n, r), 1, None) for r in range(n + 1))

@@ -10,6 +10,7 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error.
 
 import argparse
 import json
+import re
 import sys
 
 from . import bellpoly, involutions, numbers, verify
@@ -265,10 +266,11 @@ def _cmd_bellpoly(args) -> int:
     if n > ceiling:
         raise SizeTooLarge("--n is capped at %d here" % (ceiling,))
     if args.weights is not None:
-        try:
-            weights = [int(t) for t in args.weights.replace(" ", "").split(",")]
-        except ValueError:
-            raise MalformedInput("bad weight list %r" % (args.weights,)) from None
+        tokens = args.weights.replace(" ", "")
+        tokens = tokens.split(",") if tokens else []
+        if not all(re.fullmatch("[+-]?[0-9]+", t) for t in tokens):
+            raise MalformedInput("bad weight list %r" % (args.weights,))
+        weights = [int(t) for t in tokens]
         # Y_n contains t_n for every n >= 1
         if len(weights) < n:
             raise WeightVectorTooShort("need %d weights, got %d" % (n, len(weights)))

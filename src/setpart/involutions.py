@@ -21,6 +21,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple, Union
 from .bellpoly import (
     BellPolynomial,
     Monomial,
+    _combination,
     _size_monomial,
     complete_bell_by_sum,
 )
@@ -305,19 +306,27 @@ def classify_cd(p: SetPartition, j: int) -> Tuple[ClassLabel, ...]:
 def weight_monomial(lam: SignedPair) -> Monomial:
     """Unsigned block-size weight of a pair: t_1 per marked element and
     per singleton block, t_i per block of size i."""
-    return _size_monomial(lam.pi.blocks, len(lam.S))
+    return _size_monomial(map(len, lam.pi.blocks), len(lam.S))
 
 
 def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
-    """Sum of signed weight monomials over the whole carrier."""
+    """Sum of signed weight monomials over the whole carrier.
+
+    Walks every pair, tallies the signs per signature (|S|, sorted block
+    sizes), and builds one monomial per signature.
+    """
     if not 0 <= j <= n:
         raise IndexOutOfRange("need 0 <= j <= n")
     if n > SYMBOLIC_CEILING:
         raise SizeTooLarge(
             "symbolic carrier sweeps are capped at n = %d" % SYMBOLIC_CEILING
         )
+    tally = {}
+    for lam in enumerate_carrier(n, j):
+        key = (len(lam.S), tuple(sorted(map(len, lam.pi.blocks))))
+        tally[key] = tally.get(key, 0) + lam.sign
     return BellPolynomial(
-        (weight_monomial(lam), lam.sign) for lam in enumerate_carrier(n, j)
+        (_size_monomial(sizes, ones), sign) for (ones, sizes), sign in tally.items()
     )
 
 
@@ -326,14 +335,14 @@ def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
     the complete block-size polynomial."""
     if not 0 <= j <= n:
         raise IndexOutOfRange("need 0 <= j <= n")
-    out = BellPolynomial.zero()
-    for i in range(j + 1):
-        coeff = (-1) ** i * binomial(j, i)
-        term = complete_bell_by_sum(n + 1 - i).scaled(
-            coeff, Monomial.single(1, i) if i else None
+    return _combination(
+        (
+            complete_bell_by_sum(n + 1 - i),
+            (-1) ** i * binomial(j, i),
+            Monomial.single(1, i) if i else None,
         )
-        out = out + term
-    return out
+        for i in range(j + 1)
+    )
 
 
 def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
@@ -346,19 +355,13 @@ def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
     if not 0 <= j <= n:
         raise IndexOutOfRange("need 0 <= j <= n")
     complete = [complete_bell_by_sum(m) for m in range(n + 1)]
-    out = BellPolynomial.zero()
-    for k in range(n - j + 1):
-        for l in range(j + 1):
-            for r in range(j - l + 1):
-                coeff = (
-                    (-1) ** r
-                    * binomial(n - j, k)
-                    * binomial(j, l)
-                    * binomial(j - l, r)
-                )
-                if coeff == 0:
-                    continue
-                mono = Monomial(((1, r), (k + l + 1, 1)))
-                term = complete[n - k - l - r].scaled(coeff, mono)
-                out = out + term
-    return out
+    return _combination(
+        (
+            complete[n - k - l - r],
+            (-1) ** r * binomial(n - j, k) * binomial(j, l) * binomial(j - l, r),
+            Monomial(((1, r), (k + l + 1, 1))),
+        )
+        for k in range(n - j + 1)
+        for l in range(j + 1)
+        for r in range(j - l + 1)
+    )

@@ -70,6 +70,16 @@ def partitions_into_parts(n, r):
     return partitions_into_parts(n - 1, r - 1) + partitions_into_parts(n - r, r)
 
 
+def complete_bell_by_recurrence(x):
+    """Y_n(x_1..x_n) for n = len(x), at integer values, via
+    Y_{m+1} = sum_k C(m, k) x_{k+1} Y_{m-k}, with Y_0 = 1.  No monomial
+    is ever formed."""
+    y = [1]
+    for m in range(len(x)):
+        y.append(sum(math.comb(m, k) * x[k] * y[m - k] for k in range(m + 1)))
+    return y[-1]
+
+
 def derangements_by_bruteforce(n):
     """Count fixed-point-free permutations directly.  Usable up to n = 8."""
     count = 0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -145,6 +146,44 @@ class TestEnumerationRoute:
     def test_ceiling_enforced(self):
         with pytest.raises(SizeTooLarge):
             complete_bell_by_enumeration(14)
+
+
+class TestRecurrenceOracle:
+    @pytest.mark.parametrize("n", list(range(14)) + [20, 30, 40])
+    def test_formula_route_matches_recurrence(self, n):
+        poly = complete_bell_by_sum(n)
+        assert len(poly.terms()) == sum(
+            oracles.partitions_into_parts(n, r) for r in range(n + 1)
+        )
+        for seed in range(3):
+            rng = random.Random(seed)
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            assert poly.evaluate(x) == oracles.complete_bell_by_recurrence(x)
+
+
+def assert_canonical(monomials):
+    """Each monomial is what the checking constructor makes of its pairs."""
+    for m in monomials:
+        assert m.pairs == Monomial(m.pairs).pairs
+        assert all(type(e) is int and e > 0 for _, e in m.pairs)
+
+
+class TestCanonicalMonomials:
+    @pytest.mark.parametrize("n", range(13))
+    def test_builders_make_canonical_monomials(self, n):
+        parts = [partial_bell(n, r) for r in range(n + 1)]
+        for poly in parts + [complete_bell_by_sum(n)]:
+            assert_canonical(m for m, _ in poly.terms())
+        monos = [m for poly in parts for m, _ in poly.terms()]
+        factors = [
+            Monomial.one(), Monomial.single(1, 2), Monomial([(2, 1), (n + 3, 2)]),
+        ]
+        factors += monos[:3]
+        for m in monos:
+            for f in factors:
+                product = m.times(f)
+                assert_canonical([product])
+                assert product == Monomial(m.pairs + f.pairs)
 
 
 class TestPartialSplit:

@@ -281,6 +281,30 @@ class TestBellpoly:
         code, _, _ = run_cli(capsys, "bellpoly", "--n", "2", "--weights", "a,b")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "n, weights",
+        # int() would read the first three tokens as 10, 3 and 1
+        [("2", "1_0,2"), ("1", "\u0663"), ("1", "\uff11"), ("1", "0x1"), ("2", "1,,2")],
+    )
+    def test_only_ascii_decimal_weights(self, capsys, n, weights):
+        code, out, err = run_cli(capsys, "bellpoly", "--n", n, "--weights=" + weights)
+        assert code == 2
+        assert out == ""
+        assert "bad weight list" in err
+
+    def test_signed_weights(self, capsys):
+        code, out, _ = run_cli(capsys, "bellpoly", "--n", "2", "--weights=-3,+2")
+        assert code == 0
+        assert out.strip() == "11"
+
+    def test_empty_weight_list_is_no_weights(self, capsys):
+        code, out, _ = run_cli(capsys, "bellpoly", "--n", "0", "--weights=")
+        assert code == 0
+        assert out.strip() == "1"
+        code, _, err = run_cli(capsys, "bellpoly", "--n", "1", "--weights=")
+        assert code == 2
+        assert "need 1 weights, got 0" in err
+
     def test_symbolic_depth_cap(self, capsys):
         code, _, _ = run_cli(capsys, "bellpoly", "--n", "14")
         assert code == 2

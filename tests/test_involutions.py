@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from setpart import involutions, numbers
-from setpart.bellpoly import Monomial
+from setpart.bellpoly import BellPolynomial, Monomial
 from setpart.errors import (
     IndexOutOfRange,
     MalformedInput,
@@ -326,6 +326,27 @@ class TestWeightedSums:
                 by_carrier = weighted_carrier_sum(n, j)
                 assert by_carrier == weighted_alternating_sum(n, j)
                 assert by_carrier == weighted_binomial_sum(n, j)
+
+    def test_sums_make_canonical_monomials(self):
+        for n in range(6):
+            for j in range(n + 1):
+                for build in (
+                    weighted_carrier_sum,
+                    weighted_alternating_sum,
+                    weighted_binomial_sum,
+                ):
+                    for m, _ in build(n, j).terms():
+                        assert m.pairs == Monomial(m.pairs).pairs
+                        assert all(type(e) is int and e > 0 for _, e in m.pairs)
+
+    def test_carrier_tally_equals_per_pair_sum(self):
+        for n in range(7):
+            for j in range(n + 1):
+                per_pair = BellPolynomial(
+                    (weight_monomial(lam), lam.sign)
+                    for lam in enumerate_carrier(n, j)
+                )
+                assert weighted_carrier_sum(n, j) == per_pair
 
     def test_smallest_window_reduces_to_pair_weight(self):
         poly = weighted_carrier_sum(1, 1)

@@ -5,6 +5,7 @@ import pytest
 
 import setpart.numbers as numbers_mod
 from setpart import _kernels, cli, involutions, verify
+from setpart.bellpoly import BellPolynomial, Monomial
 from setpart.errors import IndexOutOfRange, SizeTooLarge
 from setpart.partitions import SetPartition, block_containing
 
@@ -384,3 +385,38 @@ class TestFalsifiedOracle:
             for n in range(4)
             for j in range(1, n + 1)
         ]
+
+    def test_thm2_carrier_missing_a_pair_is_caught(self, monkeypatch):
+        orig = involutions.enumerate_carrier
+
+        def lossy(n, j):
+            pairs = orig(n, j)
+            if n == 3:
+                next(pairs)
+            return pairs
+
+        monkeypatch.setattr(involutions, "enumerate_carrier", lossy)
+        report = verify.run_identity("thm2", max_n=5, mode="enumerative")
+        bad = report.failures()
+        assert [c.params for c in bad] == [
+            c for c in verify.plan_cells("thm2", 5, "enumerative") if c["n"] == 3
+        ]
+        assert all(set(c.counterexample) == {"carrier", "lhs"} for c in bad)
+
+    def test_thm2_broken_binomial_side_fails_every_cell(self, monkeypatch):
+        orig = involutions.weighted_binomial_sum
+        t1 = BellPolynomial([(Monomial.single(1), 1)])
+        monkeypatch.setattr(
+            involutions, "weighted_binomial_sum", lambda n, j: orig(n, j) + t1
+        )
+        report = verify.run_identity("thm2", max_n=8, mode="closed-form")
+        cells = verify.plan_cells("thm2", 8, "closed-form")
+        assert any(c.get("check") == "numeric" for c in cells)
+        assert [c.params for c in report.failures()] == cells
+        for c in report.failures():
+            if c.params.get("check") == "numeric":
+                assert set(c.counterexample) == {"weights", "lhs", "rhs"}
+                lhs, rhs = int(c.counterexample["lhs"]), int(c.counterexample["rhs"])
+                assert rhs - lhs == c.counterexample["weights"][0]
+            else:
+                assert set(c.counterexample) == {"lhs", "rhs"}
