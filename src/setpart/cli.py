@@ -10,7 +10,6 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error.
 
 import argparse
 import json
-import re
 import sys
 
 from . import bellpoly, involutions, numbers, verify
@@ -21,7 +20,7 @@ from .errors import (
     SizeTooLarge,
     WeightVectorTooShort,
 )
-from .partitions import SetPartition
+from .partitions import SetPartition, _read_integers
 
 SYMBOLIC_POLY_CEILING = 13
 NUMBERS_CEILING = 1000
@@ -36,6 +35,15 @@ _NUMBER_KINDS = {
 }
 
 
+def _integer(text: str) -> int:
+    """The one integer of an integer flag, read by _read_integers."""
+    try:
+        (value,) = _read_integers(text, "integer")
+    except ValueError:
+        raise argparse.ArgumentTypeError("bad integer %r" % (text,)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="setpart",
@@ -45,24 +53,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_num = sub.add_parser("numbers", help="print a sequence table")
     p_num.add_argument("kind", choices=sorted(_NUMBER_KINDS))
-    p_num.add_argument("--max-n", type=int, default=10)
+    p_num.add_argument("--max-n", type=_integer, default=10)
     p_num.add_argument(
         "--format", choices=("table", "json", "csv"), default="table"
     )
 
     p_ver = sub.add_parser("verify", help="sweep one identity's checks")
     p_ver.add_argument("identity", choices=verify.IDENTITIES)
-    p_ver.add_argument("--max-n", type=int, default=None)
+    p_ver.add_argument("--max-n", type=_integer, default=None)
     p_ver.add_argument("--mode", choices=verify.MODES, default="both")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--seed", type=_integer, default=0)
+    p_ver.add_argument("--jobs", type=_integer, default=1)
     p_ver.add_argument(
         "--format", choices=("table", "json", "csv"), default="table"
     )
 
     p_tr = sub.add_parser("trace", help="show the involution's pairing")
-    p_tr.add_argument("--n", type=int, required=True)
-    p_tr.add_argument("--j", type=int, required=True)
+    p_tr.add_argument("--n", type=_integer, required=True)
+    p_tr.add_argument("--j", type=_integer, required=True)
     p_tr.add_argument("--S", default="", help="marked elements, e.g. 1,3")
     p_tr.add_argument(
         "--pi", default=None, help="partition spec, e.g. 2/4,5/6,8,9/7"
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bp = sub.add_parser("bellpoly", help="block-size polynomial")
-    p_bp.add_argument("--n", type=int, required=True)
+    p_bp.add_argument("--n", type=_integer, required=True)
     p_bp.add_argument(
         "--weights", default=None, help="comma-separated integers t_1,t_2,..."
     )
@@ -194,13 +202,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_marks(text: str):
-    stripped = text.replace(" ", "")
-    if stripped in ("", "-"):
-        return frozenset()
-    return frozenset(int(t) for t in stripped.split(","))
-
-
 def _set_text(s) -> str:
     return ",".join(str(e) for e in sorted(s)) if s else "-"
 
@@ -233,10 +234,8 @@ def _cmd_trace(args) -> int:
         return 0
     if args.pi is None:
         raise MalformedInput("--pi is required unless --full is given")
-    try:
-        marks = _parse_marks(args.S)
-    except ValueError:
-        raise MalformedInput("bad marked-element list %r" % (args.S,)) from None
+    no_marks = args.S.strip(" \t") == "-"
+    marks = () if no_marks else _read_integers(args.S, "marked-element list")
     pi = SetPartition.from_text(args.pi)
     lam = involutions.SignedPair(args.n, args.j, marks, pi)
     print(
@@ -266,11 +265,7 @@ def _cmd_bellpoly(args) -> int:
     if n > ceiling:
         raise SizeTooLarge("--n is capped at %d here" % (ceiling,))
     if args.weights is not None:
-        tokens = args.weights.replace(" ", "")
-        tokens = tokens.split(",") if tokens else []
-        if not all(re.fullmatch("[+-]?[0-9]+", t) for t in tokens):
-            raise MalformedInput("bad weight list %r" % (args.weights,))
-        weights = [int(t) for t in tokens]
+        weights = _read_integers(args.weights, "weight list")
         # Y_n contains t_n for every n >= 1
         if len(weights) < n:
             raise WeightVectorTooShort("need %d weights, got %d" % (n, len(weights)))

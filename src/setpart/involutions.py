@@ -69,8 +69,11 @@ class SignedPair:
         s = frozenset(S)
         if any(not 1 <= e <= j for e in s):
             raise MalformedInput("marked elements must lie in {1..%d}" % j)
-        expected = tuple(e for e in range(1, n + 2) if e not in s)
-        if pi.ground.elements != expected:
+        # sizes first, so the check costs no more than the input
+        ground = pi.ground.elements
+        if len(ground) != n + 1 - len(s) or ground != tuple(
+            e for e in range(1, n + 2) if e not in s
+        ):
             raise MalformedInput(
                 "partition ground must be {1..%d} minus the marked set" % (n + 1)
             )
@@ -186,8 +189,10 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
     t = frozenset(T)
     if any(not j + 1 <= e <= n for e in t):
         raise MalformedInput("T must lie in {%d..%d}" % (j + 1, n))
-    expected = tuple(e for e in range(1, n + 1) if e not in t)
-    if rho.ground.elements != expected:
+    ground = rho.ground.elements
+    if len(ground) != n - len(t) or ground != tuple(
+        e for e in range(1, n + 1) if e not in t
+    ):
         raise MalformedInput("rho must partition {1..%d} minus T" % n)
     blocks = _gather_low_singletons(rho.blocks, j, sorted(t) + [n + 1])
     return SetPartition(GroundSet.range_n(n + 1), blocks)
@@ -215,7 +220,7 @@ def split_singleton_free(
     a singleton; the block's elements in {j+1..n} become T; n+1 itself is
     dropped.
     """
-    if p.ground.elements != tuple(range(1, n + 2)):
+    if len(p.ground) != n + 1 or not p.ground.is_contiguous():
         raise MalformedInput("p must partition {1..%d}" % (n + 1))
     for b in p.blocks:
         if len(b) == 1 and b[0] <= j:
@@ -286,7 +291,7 @@ def classify_cd(p: SetPartition, j: int) -> Tuple[ClassLabel, ...]:
     neither kind of class."""
     if j < 2:
         raise IndexOutOfRange("classes are defined for j >= 2")
-    if p.ground.elements != tuple(range(1, j + 1)):
+    if len(p.ground) != j or not p.ground.is_contiguous():
         raise MalformedInput("p must partition {1..%d}" % j)
     singles = set(p.singleton_elements())
     run = 0

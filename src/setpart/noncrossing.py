@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Tuple
 
 from . import _kernels
 from .errors import IndexOutOfRange, SizeTooLarge
-from .partitions import RGS, _parse_letters
+from .partitions import RGS, _word_letters
 
 WORD_CEILING = 14
 
@@ -28,17 +28,9 @@ class CoverMask(NamedTuple):
         return sum(self.covered)
 
 
-def _letters(w) -> tuple:
-    if isinstance(w, RGS):
-        return w.word
-    if isinstance(w, str):
-        return _parse_letters(w)
-    return tuple(w)
-
-
 def is_noncrossing_bruteforce(w) -> bool:
     """Quartic scan over index quadruples; the reference definition."""
-    letters = _letters(w)
+    letters = _word_letters(w)
     n = len(letters)
     for i in range(n):
         for j in range(i + 1, n):
@@ -59,7 +51,7 @@ def is_noncrossing(w) -> bool:
     Scans the word once per pair of letter values, looking for a, b, a, b
     in that order; valid for arbitrary words, not only growth strings.
     """
-    letters = _letters(w)
+    letters = _word_letters(w)
     values = sorted(set(letters))
     for ai in range(len(values)):
         for bi in range(ai + 1, len(values)):
@@ -95,7 +87,7 @@ def is_cyclic_smirnov(w) -> bool:
     A single letter is its own cyclic neighbour, so length-1 words fail;
     the empty word passes vacuously.
     """
-    letters = _letters(w)
+    letters = _word_letters(w)
     n = len(letters)
     if n == 0:
         return True
@@ -131,8 +123,7 @@ def covering_reduction(w) -> Tuple[CoverMask, tuple]:
     uncovered subword does, and that subword introduces letters in
     increasing order.
     """
-    r = w if isinstance(w, RGS) else RGS(_letters(w))
-    letters = r.word
+    letters = RGS(_word_letters(w)).word
     n = len(letters)
     covered = [False] * n
     for i in range(n - 1):

@@ -9,6 +9,7 @@ string encoding.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
@@ -21,6 +22,23 @@ from .errors import (
 )
 
 ENUMERATION_CEILING = 13  # B(13) = 27,644,437 words, walked one by one
+
+_INTEGER = re.compile("[+-]?[0-9]+")
+
+
+def _read_integers(text: str, what: str) -> tuple:
+    """The integers of a comma-separated list like "1, -2,+3": the one
+    syntax for integers written as text.  Spaces and tabs are ignored;
+    each token must be ASCII digits with an optional sign, and any other
+    token, or one too long for int(), raises MalformedInput."""
+    tokens = text.replace(" ", "").replace("\t", "")
+    tokens = tokens.split(",") if tokens else []
+    if all(map(_INTEGER.fullmatch, tokens)):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # past int()'s limit on digits
+            pass
+    raise MalformedInput("bad %s %r" % (what, text))
 
 
 class GroundSet:
@@ -133,22 +151,10 @@ class SetPartition:
 
     @classmethod
     def from_text(cls, text: str) -> "SetPartition":
-        """Parse "2/4,5/6,8,9/7" notation: blocks '/', elements ','."""
-        stripped = text.replace(" ", "").replace("\t", "")
-        if stripped == "":
-            return cls(GroundSet(()), ())
-        blocks = []
-        for part in stripped.split("/"):
-            if not part:
-                raise MalformedInput("empty block in %r" % (text,))
-            elems = []
-            for tok in part.split(","):
-                # isdigit() also admits digits such as "²" that int() rejects
-                if not tok.isdecimal():
-                    raise MalformedInput("bad element %r in %r" % (tok, text))
-                elems.append(int(tok))
-            blocks.append(elems)
-        return cls.from_blocks(blocks)
+        """Parse "2/4,5/6,8,9/7" notation: blocks '/', elements ',', each
+        block read by _read_integers; blank text is the empty partition."""
+        blocks = [_read_integers(part, "block") for part in text.split("/")]
+        return cls.from_blocks([] if blocks == [()] else blocks)
 
     def to_text(self) -> str:
         return "/".join(",".join(str(e) for e in b) for b in self.blocks)
@@ -181,19 +187,6 @@ class SetPartition:
         return "SetPartition.from_text(%r)" % (self.to_text(),)
 
 
-def _parse_letters(text: str) -> tuple:
-    """Letters of a word written "1213", or "1,2,10" when a letter exceeds
-    9; any other text raises MalformedInput."""
-    stripped = text.strip()
-    if not stripped:
-        return ()
-    tokens = stripped.split(",") if "," in stripped else stripped
-    try:
-        return tuple(int(t) for t in tokens)
-    except ValueError:
-        raise MalformedInput("bad letters in %r" % (text,)) from None
-
-
 class RGS:
     """A restricted growth string: word[0] = 1 and each letter exceeds the
     running maximum by at most one."""
@@ -219,8 +212,8 @@ class RGS:
     @classmethod
     def from_text(cls, text: str) -> "RGS":
         """Parse a digit string like "112321442", or comma-separated letters
-        when any letter exceeds 9."""
-        return cls(_parse_letters(text))
+        when any letter exceeds 9; both forms go through _read_integers."""
+        return cls(_word_letters(text))
 
     def to_text(self) -> str:
         if any(c > 9 for c in self.word):
@@ -249,6 +242,17 @@ class RGS:
 
     def __repr__(self):
         return "RGS(%r)" % (list(self.word),)
+
+
+def _word_letters(w) -> tuple:
+    """The letters of a word given as an RGS, as text (see RGS.from_text)
+    or as any sequence of ints; only text is checked here."""
+    if isinstance(w, RGS):
+        return w.word
+    if not isinstance(w, str):
+        return tuple(w)
+    text = w.replace(" ", "").replace("\t", "")
+    return _read_integers(text if "," in text else ",".join(text), "word")
 
 
 def _partition_from_word(word, elements, ground) -> SetPartition:
@@ -324,18 +328,12 @@ def to_rgs(p: SetPartition) -> RGS:
 def from_rgs(w) -> SetPartition:
     """Decode a restricted growth string into the partition of [n] it names.
 
-    Accepts an RGS, a serialized word like "112321442", or any int sequence.
+    Accepts an RGS, a word written as RGS.from_text reads it, or any int
+    sequence.
     """
-    if isinstance(w, RGS):
-        r = w
-    elif isinstance(w, str):
-        r = RGS.from_text(w)
-    else:
-        r = RGS(w)
-    n = len(r.word)
-    return _partition_from_word(
-        r.word, range(1, n + 1), GroundSet.range_n(n)
-    )
+    word = RGS(_word_letters(w)).word
+    n = len(word)
+    return _partition_from_word(word, range(1, n + 1), GroundSet.range_n(n))
 
 
 def singletons_in(p: SetPartition, lo: int, hi: int) -> frozenset:

@@ -18,6 +18,64 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# int() reads each of these as an integer; the package reads none of them
+NOT_ASCII_INTEGERS = ["1_0", "\u0663", "\uff11"]
+LONG_TOKEN = "1" * 5000  # past int()'s limit on digits
+
+
+class TestIntegerText:
+    @pytest.mark.parametrize("text", NOT_ASCII_INTEGERS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("numbers", "bell", "--max-n"),
+            ("verify", "thm1", "--max-n"),
+            ("verify", "thm1", "--seed"),
+            ("verify", "thm1", "--jobs"),
+            ("trace", "--j", "0", "--pi", "1", "--n"),
+            ("trace", "--n", "0", "--pi", "1", "--j"),
+            ("bellpoly", "--n"),
+        ],
+    )
+    def test_integer_flags_read_only_ascii_integers(self, capsys, argv, text):
+        code, out, err = run_cli(capsys, *argv, text)
+        assert code == 2
+        assert out == ""
+        assert "bad integer" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--S", "\u0663", "--pi", "1,2/4"),
+            ("--S", "1_0", "--pi", "1,2/4"),
+            ("--pi", "1,\u0663/2"),
+            ("--pi", "1,2/" + LONG_TOKEN),
+        ],
+    )
+    def test_trace_text_reads_only_ascii_integers(self, capsys, extra):
+        code, out, err = run_cli(capsys, "trace", "--n", "3", "--j", "3", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad ")
+
+    def test_overlong_weight_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bellpoly", "--n", "1", "--weights", LONG_TOKEN
+        )
+        assert code == 2
+        assert out == ""
+        assert "bad weight list" in err
+
+    def test_huge_trace_n_is_rejected_at_input_cost(self, capsys):
+        # the ground check compares sizes before building {1..n+1}
+        code, out, err = run_cli(
+            capsys, "trace", "--n", "1000000000000", "--j", "0", "--pi", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestNumbers:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "numbers", "bell", "--max-n", "4")

@@ -77,6 +77,10 @@ class TestSignedPair:
         with pytest.raises(MalformedInput):
             SignedPair(3, 1, frozenset({1}), pi)
 
+    def test_huge_n_is_rejected_at_input_cost(self):
+        with pytest.raises(MalformedInput):
+            SignedPair(10**12, 0, (), SetPartition.from_text("1"))
+
 
 class TestWorkedExample:
     def test_pivot_and_partner(self):
@@ -210,6 +214,13 @@ class TestSingletonFreeCoding:
         with pytest.raises(MalformedInput):
             build_singleton_free(3, 2, frozenset({2}), rho)
 
+    def test_huge_n_is_rejected_at_input_cost(self):
+        p = SetPartition.from_text("1,2")
+        with pytest.raises(MalformedInput):
+            build_singleton_free(10**12, 0, (), p)
+        with pytest.raises(MalformedInput):
+            split_singleton_free(10**12, 0, p)
+
 
 class TestGatherSingletons:
     @pytest.mark.parametrize("j", range(8))
@@ -317,6 +328,10 @@ class TestClassLabels:
             classify_cd(SetPartition.from_text("1"), 1)
         with pytest.raises(MalformedInput):
             classify_cd(SetPartition.from_text("1,2"), 3)
+
+    def test_huge_j_is_rejected_at_input_cost(self):
+        with pytest.raises(MalformedInput):
+            classify_cd(SetPartition.from_text("1,2"), 10**12)
 
 
 class TestWeightedSums:

@@ -75,7 +75,7 @@ class TestPredicateRoutes:
             covering_reduction,
         ],
     )
-    @pytest.mark.parametrize("text", ["12a", "1,x"])
+    @pytest.mark.parametrize("text", ["12a", "1,x", "1\u0662", "1,2_0"])
     def test_malformed_text_is_rejected(self, fn, text):
         with pytest.raises(MalformedInput):
             fn(text)

@@ -100,6 +100,12 @@ class TestSetPartition:
         with pytest.raises(MalformedInput):
             SetPartition.from_text(text)
 
+    @pytest.mark.parametrize("text", ["1,\u0663/2", "1,2/3_0", "1/" + "1" * 5000])
+    def test_from_text_reads_only_ascii_integers(self, text):
+        # int() reads "\u0663" as 3 and "3_0" as 30; 5,000 digits it refuses
+        with pytest.raises(MalformedInput):
+            SetPartition.from_text(text)
+
     def test_equality_and_hash(self):
         a = SetPartition.from_text("1,2/3")
         b = SetPartition.from_blocks([[3], [2, 1]])
@@ -137,6 +143,12 @@ class TestRGS:
         assert RGS.from_text("") == RGS([])
         with pytest.raises(MalformedInput):
             RGS.from_text("1x2")
+
+    def test_from_text_reads_only_ascii_digits(self):
+        with pytest.raises(MalformedInput):
+            RGS.from_text("\u0661\u0662")
+        with pytest.raises(MalformedInput):
+            from_rgs("1,2,3,4,5,6,7,8,9,1_0")
 
     @given(rgs_words())
     def test_round_trips_any_valid_word(self, word):

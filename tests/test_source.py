@@ -24,6 +24,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_cli_reads_integer_flags_with_the_package_reader():
+    # argparse's type=int takes "1_0" and non-ASCII digits
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword)
+        and node.arg == "type"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "int"
+    ]
+    assert found == []
+
+
 def test_readme_token_table_lists_every_identity():
     # the table right after "`verify` identity tokens:" in the README
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
