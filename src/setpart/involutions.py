@@ -14,8 +14,8 @@ checker.
 
 from __future__ import annotations
 
-from bisect import insort
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from itertools import filterfalse
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .bellpoly import (
@@ -71,9 +71,7 @@ class SignedPair:
             raise MalformedInput("marked elements must lie in {1..%d}" % j)
         # sizes first, so the check costs no more than the input
         ground = pi.ground.elements
-        if len(ground) != n + 1 - len(s) or ground != tuple(
-            e for e in range(1, n + 2) if e not in s
-        ):
+        if len(ground) != n + 1 - len(s) or ground != _without(n + 1, s):
             raise MalformedInput(
                 "partition ground must be {1..%d} minus the marked set" % (n + 1)
             )
@@ -129,28 +127,34 @@ def partner(lam: SignedPair) -> Union[SignedPair, FixedPoint]:
     if pivot is None:
         return FIXED
     ground = lam.pi.ground.elements
+    blocks = lam.pi.blocks
+    # both tuples ascend (blocks by least element), and the pivot is
+    # either marked and absent from both or a singleton block
+    i = bisect_left(ground, pivot)
+    k = bisect_left(blocks, (pivot,))
     if pivot in lam.S:
-        new_s = lam.S - {pivot}
-        new_ground = list(ground)
-        insort(new_ground, pivot)
-        blocks = list(lam.pi.blocks)
-        insort(blocks, (pivot,), key=itemgetter(0))
+        new_ground = ground[:i] + (pivot,) + ground[i:]
+        new_blocks = blocks[:k] + ((pivot,),) + blocks[k:]
     else:
-        new_s = lam.S | {pivot}
-        new_ground = [e for e in ground if e != pivot]
-        blocks = [b for b in lam.pi.blocks if b != (pivot,)]
-    g = GroundSet._trusted(tuple(new_ground))
-    pi = SetPartition._trusted(g, tuple(blocks))
-    return SignedPair._trusted(lam.n, lam.j, new_s, pi)
+        new_ground = ground[:i] + ground[i + 1 :]
+        new_blocks = blocks[:k] + blocks[k + 1 :]
+    pi = SetPartition._trusted(GroundSet._trusted(new_ground), new_blocks)
+    return SignedPair._trusted(lam.n, lam.j, lam.S ^ {pivot}, pi)
 
 
 def pivot_of(lam: SignedPair) -> Optional[int]:
     """The element the involution would toggle, or None on the fixed set."""
     j = lam.j
-    best = max(lam.S, default=0)
-    for b in lam.pi.blocks:
-        if len(b) == 1 and best < b[0] <= j:
-            best = b[0]
+    best = max(lam.S) if lam.S else 0
+    # blocks ascend by least element, so the first singleton inside
+    # {1..j} met from the end is the largest, and the scan may stop at
+    # the first block that cannot beat the largest mark
+    for b in reversed(lam.pi.blocks):
+        e = b[0]
+        if e <= best:
+            break
+        if e <= j and len(b) == 1:
+            return e
     return best or None
 
 
@@ -175,8 +179,12 @@ def _complements(size: int, choices: range):
     counter picks choices[i]), with the ground set {1..size} minus X."""
     for mask in range(1 << len(choices)):
         x = frozenset(e for i, e in enumerate(choices) if mask >> i & 1)
-        rest = tuple(e for e in range(1, size + 1) if e not in x)
-        yield x, GroundSet._trusted(rest)
+        yield x, GroundSet._trusted(_without(size, x))
+
+
+def _without(size: int, x: frozenset) -> tuple:
+    """The elements of {1..size} not in x, ascending."""
+    return tuple(filterfalse(x.__contains__, range(1, size + 1)))
 
 
 def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
@@ -187,12 +195,10 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
     them.
     """
     t = frozenset(T)
-    if any(not j + 1 <= e <= n for e in t):
+    if t and (min(t) <= j or max(t) > n):
         raise MalformedInput("T must lie in {%d..%d}" % (j + 1, n))
     ground = rho.ground.elements
-    if len(ground) != n - len(t) or ground != tuple(
-        e for e in range(1, n + 1) if e not in t
-    ):
+    if len(ground) != n - len(t) or ground != _without(n, t):
         raise MalformedInput("rho must partition {1..%d} minus T" % n)
     blocks = _gather_low_singletons(rho.blocks, j, sorted(t) + [n + 1])
     return SetPartition(GroundSet.range_n(n + 1), blocks)
@@ -200,14 +206,14 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
 
 def _gather_low_singletons(blocks, j, larger) -> list:
     """The blocks with every singleton inside {1..j} moved into one new
-    block together with the ascending elements larger, all above j.
+    block, placed last, together with the ascending elements larger, all
+    above j; the validating SetPartition constructor reorders the blocks.
 
     This is the coding of build_singleton_free; the gather maps are that
-    coding at n = j and n = j + 1.  Blocks stay ordered by least element.
+    coding at n = j and n = j + 1.
     """
     out = [b for b in blocks if len(b) > 1 or b[0] > j]
-    moving = [b[0] for b in blocks if len(b) == 1 and b[0] <= j]
-    insort(out, tuple(moving + larger), key=itemgetter(0))
+    out.append(tuple([b[0] for b in blocks if len(b) == 1 and b[0] <= j] + larger))
     return out
 
 
@@ -222,23 +228,21 @@ def split_singleton_free(
     """
     if len(p.ground) != n + 1 or not p.ground.is_contiguous():
         raise MalformedInput("p must partition {1..%d}" % (n + 1))
-    for b in p.blocks:
+    blocks = p.blocks
+    for a, b in enumerate(blocks):
         if len(b) == 1 and b[0] <= j:
             raise PreconditionViolated(
                 "p has the singleton {%d} inside {1..%d}" % (b[0], j)
             )
-    anchor = None
-    for b in p.blocks:
-        if n + 1 in b:
+        if b[-1] == n + 1:  # the largest element ends its block
             anchor = b
-            break
-    t = frozenset(e for e in anchor if j + 1 <= e <= n)
-    low = [e for e in anchor if e <= j]
-    blocks = [b for b in p.blocks if b is not anchor]
-    for e in low:
-        insort(blocks, (e,), key=itemgetter(0))
-    ground = GroundSet(e for e in range(1, n + 1) if e not in t)
-    return t, SetPartition._trusted(ground, tuple(blocks))
+            rest = blocks[:a] + blocks[a + 1 :]
+    # the anchor ascends: elements up to j, then T, then n + 1
+    k = bisect_right(anchor, j)
+    t = frozenset(anchor[k:-1])
+    # disjoint blocks sort by least element
+    blocks = tuple(sorted(rest + tuple((e,) for e in anchor[:k])))
+    return t, SetPartition._trusted(GroundSet._trusted(_without(n, t)), blocks)
 
 
 def gather_singletons(src: SetPartition) -> SetPartition:

@@ -115,6 +115,7 @@ class SetPartition:
 
     def __init__(self, ground, blocks: Iterable[Iterable[int]]):
         g = GroundSet.of(ground)
+        members = set(g.elements)  # one set, so each test is O(1)
         norm = []
         seen = set()
         for block in blocks:
@@ -124,13 +125,13 @@ class SetPartition:
             for e in b:
                 if e in seen:
                     raise MalformedInput("element %r appears in two blocks" % (e,))
-                if e not in g:
+                if e not in members:
                     raise MalformedInput("element %r not in the ground set" % (e,))
                 seen.add(e)
             norm.append(b)
         if len(seen) != len(g):
             raise MalformedInput("blocks do not cover the ground set")
-        norm.sort(key=lambda b: b[0])
+        norm.sort()  # disjoint blocks: tuple order is least-element order
         self.ground = g
         self.blocks = tuple(norm)
 
@@ -177,11 +178,15 @@ class SetPartition:
 
     def __eq__(self, other):
         if isinstance(other, SetPartition):
-            return self.ground == other.ground and self.blocks == other.blocks
+            return (
+                self.blocks == other.blocks
+                and self.ground.elements == other.ground.elements
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ground, self.blocks))
+        # valid blocks cover the ground, so they alone determine it
+        return hash(self.blocks)
 
     def __repr__(self):
         return "SetPartition.from_text(%r)" % (self.to_text(),)
@@ -255,17 +260,16 @@ def _word_letters(w) -> tuple:
     return _read_integers(text if "," in text else ",".join(text), "word")
 
 
-def _partition_from_word(word, elements, ground) -> SetPartition:
-    """Trusted build: letter word[i] names the block of elements[i].
+def _blocks_of_word(word, elements) -> tuple:
+    """Letter word[i] names the block of elements[i].
 
     Letters first occur in increasing order, so blocks come out already
     sorted by smallest element.
     """
-    nblocks = max(word) if word else 0
-    blocks = [[] for _ in range(nblocks)]
+    blocks = [[] for _ in range(max(word, default=0))]
     for e, c in zip(elements, word):
         blocks[c - 1].append(e)
-    return SetPartition._trusted(ground, tuple(tuple(b) for b in blocks))
+    return tuple(map(tuple, blocks))
 
 
 def enumerate_partitions(ground) -> Iterator[SetPartition]:
@@ -277,24 +281,24 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
 
     Consecutive words mostly differ in the last letter only, so the blocks
     of the first n - 1 elements are rebuilt only when that prefix changes,
-    and the last element is placed into a copy of them.
+    and the last element is placed into a copy of them.  In lexicographic
+    order the prefix changes exactly when the last letter falls back to 1.
     """
     g = GroundSet.of(ground)
     head, last = g.elements[:-1], g.elements[-1:]
-    prefix = None
+    make = SetPartition._trusted
     for word in _kernels.iter_rgs(len(g)):
         if not word:
-            yield SetPartition._trusted(g, ())
+            yield make(g, ())
             continue
-        if word[:-1] != prefix:
-            prefix = word[:-1]
-            base = _partition_from_word(prefix, head, g).blocks
         c = word[-1]
+        if c == 1:
+            base = _blocks_of_word(word[:-1], head)
         if c > len(base):
             blocks = base + (last,)
         else:
             blocks = base[: c - 1] + (base[c - 1] + last,) + base[c:]
-        yield SetPartition._trusted(g, blocks)
+        yield make(g, blocks)
 
 
 def count_partitions(ground) -> int:
@@ -332,8 +336,8 @@ def from_rgs(w) -> SetPartition:
     sequence.
     """
     word = RGS(_word_letters(w)).word
-    n = len(word)
-    return _partition_from_word(word, range(1, n + 1), GroundSet.range_n(n))
+    g = GroundSet.range_n(len(word))
+    return SetPartition._trusted(g, _blocks_of_word(word, g.elements))
 
 
 def singletons_in(p: SetPartition, lo: int, hi: int) -> frozenset:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -259,18 +260,21 @@ def _check_thm1(cell, seed, closed, sweep):
 
 def _check_involution(cell, seed, closed, sweep):
     n, j = cell["n"], cell["j"]
+    partner, FIXED = involutions.partner, involutions.FIXED
     signed = 0
     fixed = 0
     for lam in involutions.enumerate_carrier(n, j):
-        signed += lam.sign
-        image = involutions.partner(lam)
-        if image is involutions.FIXED:
+        # the sign is (-1)^|S|, so its parity is that of |S|
+        odd = len(lam.S) & 1
+        signed += -1 if odd else 1
+        image = partner(lam)
+        if image is FIXED:
             fixed += 1
             if lam.S or any(len(b) == 1 and b[0] <= j for b in lam.pi.blocks):
                 return _pair_failure("false fixed point", lam)
-        elif image.sign != -lam.sign:
+        elif len(image.S) & 1 == odd:
             return _pair_failure("sign not reversed", lam)
-        elif involutions.partner(image) != lam:
+        elif partner(image) != lam:
             return _pair_failure("not an involution", lam)
     rhs = numbers.bell_binomial_sum(n, j)
     if not signed == fixed == rhs:
@@ -336,10 +340,13 @@ def _check_cor(variant, part):
 
 def _no_singleton_targets(size, j):
     """Partitions of {1..size} with no singleton inside {1..j}."""
+    # blocks ascend by least element: those starting inside {1..j} come
+    # before (j + 1,)
+    low = (j + 1,)
     return {
         p
         for p in partitions.enumerate_partitions(size)
-        if not any(len(b) == 1 and b[0] <= j for b in p.blocks)
+        if 1 not in map(len, p.blocks[: bisect_left(p.blocks, low)])
     }
 
 

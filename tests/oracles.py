@@ -137,3 +137,32 @@ def exact_binomial(n, k):
         val *= Fraction(n - i, i + 1)
     assert val.denominator == 1
     return val.numerator
+
+
+def partner_by_definition(n, j, S, blocks):
+    """The carrier involution read off its definition, for the pair (S,
+    blocks) over {1..n+1}: take the largest element of {1..j} that is
+    marked or alone in its block; a marked one becomes a singleton block
+    and a singleton becomes marked.
+
+    Returns (S, blocks, ground) with the blocks as ascending tuples in
+    order of least element and the ground as {1..n+1} minus S, ascending;
+    None when no element qualifies.  No splicing: the image is rebuilt
+    from sets.
+    """
+    alone = {b[0] for b in blocks if len(b) == 1}
+    qualified = [e for e in range(1, j + 1) if e in S or e in alone]
+    if not qualified:
+        return None
+    pivot = max(qualified)
+    parts = {frozenset(b) for b in blocks}
+    marks = set(S)
+    if pivot in marks:
+        marks.remove(pivot)
+        parts.add(frozenset([pivot]))
+    else:
+        marks.add(pivot)
+        parts.remove(frozenset([pivot]))
+    ordered = tuple(sorted((tuple(sorted(b)) for b in parts), key=min))
+    ground = tuple(e for e in range(1, n + 2) if e not in marks)
+    return frozenset(marks), ordered, ground

@@ -3,6 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+
 from setpart import involutions, numbers
 from setpart.bellpoly import BellPolynomial, Monomial
 from setpart.errors import (
@@ -164,6 +166,23 @@ class TestInvolution:
         out = partner(lam)
         if out is not FIXED:
             assert weight_monomial(out) == weight_monomial(lam)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_partner_matches_its_definition(self, n):
+        # S, the block tuple and the ground are compared apart, so a wrong
+        # ground cannot hide behind equal blocks
+        for j in range(n + 1):
+            for lam in enumerate_carrier(n, j):
+                want = oracles.partner_by_definition(n, j, lam.S, lam.pi.blocks)
+                out = partner(lam)
+                if want is None:
+                    assert out is FIXED
+                    continue
+                S, blocks, ground = want
+                assert (out.n, out.j) == (n, j)
+                assert out.S == S
+                assert out.pi.blocks == blocks
+                assert out.pi.ground.elements == ground
 
     def test_pivot_is_largest_toggle_site(self):
         lam = SignedPair(

@@ -24,6 +24,14 @@ class TestStreams:
         words = list(_kernels.iter_noncrossing(n))
         assert all(a < b for a, b in zip(words, words[1:]))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rgs_word_ends_in_one_exactly_when_its_prefix_changes(self, n):
+        # enumerate_partitions rebuilds its prefix blocks on this signal
+        previous = None
+        for word in _kernels.iter_rgs(n):
+            assert (word[-1] == 1) == (word[:-1] != previous)
+            previous = word[:-1]
+
     @pytest.mark.parametrize("n", range(9))
     def test_noncrossing_stream_is_filtered_rgs_stream(self, n):
         assert tuple(_kernels.iter_noncrossing(n)) == _noncrossing_by_filter(n)

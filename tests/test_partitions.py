@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 
@@ -111,6 +113,55 @@ class TestSetPartition:
         b = SetPartition.from_blocks([[3], [2, 1]])
         assert a == b and hash(a) == hash(b)
         assert a != SetPartition.from_text("1,3/2")
+
+    @pytest.mark.parametrize(
+        "ground", [*range(6), (2, 4, 5), (1, 3)], ids=str
+    )
+    def test_every_route_builds_equal_and_hash_equal_objects(self, ground):
+        g = GroundSet.of(ground)
+        for p in enumerate_partitions(g):
+            # reversed blocks and elements, so the constructor sorts
+            shuffled = [list(reversed(b)) for b in reversed(p.blocks)]
+            routes = [
+                SetPartition(g, shuffled),
+                SetPartition.from_blocks(shuffled),
+                SetPartition.from_text(p.to_text()),
+            ]
+            if g.is_contiguous():
+                routes.append(from_rgs(to_rgs(p)))
+            for q in routes:
+                assert q == p and hash(q) == hash(p)
+                assert q.blocks == p.blocks and q.ground == p.ground
+            # the blocks determine the ground, which is why hashing the
+            # blocks alone agrees with equality
+            wider = GroundSet(g.elements + (max(g.elements, default=0) + 1,))
+            with pytest.raises(MalformedInput, match="do not cover"):
+                SetPartition(wider, p.blocks)
+
+    @pytest.mark.parametrize(
+        "ground, blocks, message",
+        [
+            (3, [[1, 2], [2, 3]], "element 2 appears in two blocks"),
+            (3, [[1, 1], [2, 3]], "element 1 appears in two blocks"),
+            (3, [[1, 4], [2, 3]], "element 4 not in the ground set"),
+            (3, [[1], []], "blocks must be nonempty"),
+            (3, [[1, 2]], "blocks do not cover the ground set"),
+        ],
+    )
+    def test_constructor_messages(self, ground, blocks, message):
+        with pytest.raises(MalformedInput) as err:
+            SetPartition(ground, blocks)
+        assert str(err.value) == message
+
+    def test_large_block_builds_in_linear_time(self):
+        # each element is looked up in a set of the ground, not scanned
+        # for in the ground tuple, which took ~10 s at this size
+        n = 50_000
+        text = ",".join(map(str, range(1, n + 1)))
+        start = time.perf_counter()
+        p = SetPartition.from_text(text)
+        assert time.perf_counter() - start < 2.0
+        assert p.block_sizes() == (n,)
 
 
 class TestRGS:

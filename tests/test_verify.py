@@ -386,6 +386,27 @@ class TestFalsifiedOracle:
             for j in range(1, n + 1)
         ]
 
+    def test_partner_with_a_wrong_ground_is_caught(self, monkeypatch):
+        orig = involutions.partner
+
+        def leaky(lam):
+            # right S and blocks, but a newly marked pivot stays in the ground
+            image = orig(lam)
+            if image is involutions.FIXED or len(image.S) < len(lam.S):
+                return image
+            pi = SetPartition._trusted(lam.pi.ground, image.pi.blocks)
+            return involutions.SignedPair._trusted(lam.n, lam.j, image.S, pi)
+
+        monkeypatch.setattr(involutions, "partner", leaky)
+        report = verify.run_identity("involution", max_n=3)
+        # only SetPartition equality sees the ground; at j = 0 every pair
+        # is fixed
+        assert self.failing(report) == [
+            ({"n": n, "j": j}, "not an involution")
+            for n in range(4)
+            for j in range(1, n + 1)
+        ]
+
     def test_thm2_carrier_missing_a_pair_is_caught(self, monkeypatch):
         orig = involutions.enumerate_carrier
 
