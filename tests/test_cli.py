@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -16,6 +17,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def catalan_off_at_2(monkeypatch):
+    """numbers.catalan reads one too high at n = 2, so nc-catalan fails there."""
+    orig = numbers_mod.catalan
+    monkeypatch.setattr(
+        numbers_mod, "catalan", lambda n: orig(n) + (1 if n == 2 else 0)
+    )
 
 
 # int() reads each of these as an integer; the package reads none of them
@@ -184,6 +194,32 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_failing_cell_table(self, capsys, catalan_off_at_2):
+        code, out, _ = run_cli(capsys, "verify", "nc-catalan", "--max-n", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[:3] == [
+            "cell n=0: ok",
+            "cell n=1: ok",
+            'cell n=2: FAIL {"catalan": "3", "count": "2"}',
+        ]
+        assert lines[3].startswith("identity nc-catalan: FAIL (cells=3, elapsed=")
+        assert lines[3].endswith("s)") and len(lines) == 4
+
+    def test_failing_cell_csv_quotes_the_counterexample(
+        self, capsys, catalan_off_at_2
+    ):
+        code, out, _ = run_cli(
+            capsys, "verify", "nc-catalan", "--max-n", "2", "--format", "csv"
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "identity,mode,params,ok,counterexample",
+            'nc-catalan,both,n=0,ok,""',
+            'nc-catalan,both,n=1,ok,""',
+            'nc-catalan,both,n=2,FAIL,"{""catalan"": ""3"", ""count"": ""2""}"',
+        ]
+
     def test_unknown_identity_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "thm7")
         assert code == 2
@@ -226,11 +262,17 @@ class TestTrace:
     def test_full_carrier_rows(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--n", "2", "--j", "1", "--full")
         assert code == 0
-        lines = out.splitlines()
-        # carrier size: partitions of {1,2,3} plus marked-1 partitions of {2,3}
-        assert len(lines) == 7
-        assert all(len(line.split(" | ")) == 4 for line in lines)
-        assert sum(1 for line in lines if line.endswith("FIXED")) == 3
+        # partitions of {1,2,3} plus marked-1 partitions of {2,3}:
+        # sign | marks | blocks | image
+        assert out.splitlines() == [
+            "+ | - | 1,2,3 | FIXED",
+            "+ | - | 1,2/3 | FIXED",
+            "+ | - | 1,3/2 | FIXED",
+            "+ | - | 1/2,3 | (1; 2,3)",
+            "+ | - | 1/2/3 | (1; 2/3)",
+            "- | 1 | 2,3 | (-; 1/2,3)",
+            "- | 1 | 2/3 | (-; 1/2/3)",
+        ]
 
     @pytest.mark.parametrize(
         "extra", [("--pi", "1/2"), ("--S", "1"), ("--S", "1", "--pi", "2/3,4")]
@@ -308,6 +350,22 @@ class TestBellpoly:
         assert code == 0
         assert out.strip() == "15"
 
+    def test_symbolic_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "bellpoly", "--n", "3", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "coefficient,monomial", "1,t1^3", "3,t1*t2", "1,t3",
+        ]
+
+    def test_evaluated_table_and_csv(self, capsys):
+        argv = ("bellpoly", "--n", "3", "--weights", "1,2,3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "10\n"
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["n,value", "3,10"]
+
     def test_evaluated_json_includes_weights(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -370,6 +428,28 @@ class TestBellpoly:
             capsys, "bellpoly", "--n", "14", "--weights", ",".join(["1"] * 14)
         )
         assert code == 0
+
+
+class TestCsvShape:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("numbers", "bell", "--max-n", "6"), 0),
+            (("verify", "cor2", "--max-n", "3"), 0),
+            # fails at n = 2, and its counterexample holds commas
+            (("verify", "nc-catalan", "--max-n", "3"), 1),
+            (("bellpoly", "--n", "4"), 0),
+            (("bellpoly", "--n", "4", "--weights", "1,-2,3,0"), 0),
+        ],
+    )
+    def test_every_row_fills_the_header(self, capsys, request, argv, expected):
+        if expected:
+            request.getfixturevalue("catalan_off_at_2")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == expected
+        header, *rows = csv.reader(out.splitlines())
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
 
 
 def _write_launcher(bin_dir):
