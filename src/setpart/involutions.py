@@ -32,7 +32,7 @@ from .errors import (
     SizeTooLarge,
 )
 from .numbers import binomial
-from .partitions import GroundSet, SetPartition, enumerate_partitions
+from .partitions import GroundSet, SetPartition, _is_int, enumerate_partitions
 
 CARRIER_CEILING = 10
 SYMBOLIC_CEILING = 7
@@ -66,9 +66,10 @@ class SignedPair:
     def __init__(self, n: int, j: int, S, pi: SetPartition):
         if not 0 <= j <= n:
             raise IndexOutOfRange("need 0 <= j <= n")
-        s = frozenset(S)
-        if any(not 1 <= e <= j for e in s):
+        marks = tuple(S)
+        if not all(_is_int(e) and 1 <= e <= j for e in marks):
             raise MalformedInput("marked elements must lie in {1..%d}" % j)
+        s = frozenset(marks)
         # sizes first, so the check costs no more than the input
         ground = pi.ground.elements
         if len(ground) != n + 1 - len(s) or ground != _without(n + 1, s):
@@ -194,9 +195,11 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
     lying in {1..j} migrate into that block too, which is what removes
     them.
     """
-    t = frozenset(T)
-    if t and (min(t) <= j or max(t) > n):
-        raise MalformedInput("T must lie in {%d..%d}" % (j + 1, n))
+    entries = tuple(T)
+    for e in entries:  # exact ints skip the call
+        if type(e) is not int and not _is_int(e) or not j < e <= n:
+            raise MalformedInput("T must lie in {%d..%d}" % (j + 1, n))
+    t = frozenset(entries)
     ground = rho.ground.elements
     if len(ground) != n - len(t) or ground != _without(n, t):
         raise MalformedInput("rho must partition {1..%d} minus T" % n)

@@ -41,6 +41,11 @@ def _read_integers(text: str, what: str) -> tuple:
     raise MalformedInput("bad %s %r" % (what, text))
 
 
+def _is_int(e) -> bool:
+    """The type of every element, mark and entry of T: int, not bool."""
+    return isinstance(e, int) and not isinstance(e, bool)
+
+
 class GroundSet:
     """A finite set of positive integers, held in increasing order."""
 
@@ -49,7 +54,7 @@ class GroundSet:
     def __init__(self, elements: Iterable[int]):
         raw = tuple(elements)
         for e in raw:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+            if not _is_int(e) or e < 1:
                 raise MalformedInput("ground elements must be integers >= 1")
         elems = tuple(sorted(raw))
         for a, b in zip(elems, elems[1:]):
@@ -59,7 +64,8 @@ class GroundSet:
 
     @classmethod
     def _trusted(cls, elements: tuple) -> "GroundSet":
-        # Internal fast path: caller guarantees a sorted duplicate-free tuple.
+        # Internal fast path: caller guarantees a sorted duplicate-free tuple
+        # of integers >= 1.
         g = object.__new__(cls)
         g.elements = elements
         return g
@@ -81,7 +87,8 @@ class GroundSet:
 
     def is_contiguous(self) -> bool:
         """True when the set is exactly [n] for some n >= 0."""
-        return self.elements == tuple(range(1, len(self.elements) + 1))
+        # sorted, distinct and >= 1: [n] exactly when the largest is n
+        return not self.elements or self.elements[-1] == len(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -119,16 +126,18 @@ class SetPartition:
         norm = []
         seen = set()
         for block in blocks:
-            b = tuple(sorted(block))
+            b = tuple(block)
             if not b:
                 raise MalformedInput("blocks must be nonempty")
-            for e in b:
+            for e in b:  # before sorting, which mixed types would break
+                if type(e) is not int and not _is_int(e):  # exact ints skip the call
+                    raise MalformedInput("element %r is not an integer" % (e,))
                 if e in seen:
                     raise MalformedInput("element %r appears in two blocks" % (e,))
                 if e not in members:
                     raise MalformedInput("element %r not in the ground set" % (e,))
                 seen.add(e)
-            norm.append(b)
+            norm.append(tuple(sorted(b)))
         if len(seen) != len(g):
             raise MalformedInput("blocks do not cover the ground set")
         norm.sort()  # disjoint blocks: tuple order is least-element order
@@ -146,7 +155,7 @@ class SetPartition:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
         """Build a partition whose ground set is the union of the blocks."""
-        mat = [tuple(sorted(b)) for b in blocks]
+        mat = [tuple(b) for b in blocks]  # the constructor sorts them
         union = [e for b in mat for e in b]
         return cls(GroundSet(union), mat)
 

@@ -84,6 +84,24 @@ class TestSignedPair:
             SignedPair(10**12, 0, (), SetPartition.from_text("1"))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SetPartition(1, [[True]]),
+        lambda: SetPartition(2, [[1.0, 2]]),
+        lambda: SetPartition.from_blocks([[1, "a"]]),
+        lambda: SignedPair(1, 1, [True], SetPartition.from_text("2")),
+        lambda: build_singleton_free(1, 0, [True], SetPartition.from_text("")),
+    ],
+    ids=["bool-element", "float-element", "mixed-block", "bool-mark", "bool-T"],
+)
+def test_validating_constructors_take_only_ints(build):
+    # True == 1 and 1.0 == 1 would otherwise pass every range check, and
+    # sorting a block of mixed types raises TypeError
+    with pytest.raises(MalformedInput):
+        build()
+
+
 class TestWorkedExample:
     def test_pivot_and_partner(self):
         lam = SignedPair(

@@ -39,6 +39,9 @@ class TestGroundSet:
         assert not g.is_contiguous()
         assert GroundSet.of([1, 2, 3]).is_contiguous()
         assert GroundSet.of(0).is_contiguous()
+        assert GroundSet.of([]).is_contiguous()
+        for gaps in ([2], [1, 3], [2, 3]):
+            assert not GroundSet.of(gaps).is_contiguous()
 
     def test_of_groundset_is_identity(self):
         g = GroundSet.of([3, 1])
