@@ -201,10 +201,10 @@ def _cmd_trace(args) -> int:
         for lam in involutions.enumerate_carrier(args.n, args.j):
             image = involutions.partner(lam)
             if image is involutions.FIXED:
-                image = "FIXED"
+                shown = "FIXED"
             else:
-                image = "(%s; %s)" % _pair_fields(image)[1:]
-            print(" | ".join(_pair_fields(lam) + (image,)))
+                shown = "(%s; %s)" % _pair_fields(image)[1:]
+            print(" | ".join(_pair_fields(lam) + (shown,)))
         return 0
     if args.pi is None:
         raise MalformedInput("--pi is required unless --full is given")
