@@ -20,11 +20,11 @@ from typing import Iterable, Optional
 
 from . import _kernels
 from .errors import (
-    IndexOutOfRange,
     MalformedInput,
     NonIntegerCoefficient,
-    SizeTooLarge,
     WeightVectorTooShort,
+    _index,
+    _is_int,
 )
 from .numbers import factorial
 from .partitions import ENUMERATION_CEILING, SetPartition
@@ -43,13 +43,8 @@ class Monomial:
         items = exponents.items() if hasattr(exponents, "items") else exponents
         merged = {}
         for i, e in items:
-            if type(i) is not int or type(e) is not int:
-                raise MalformedInput(
-                    "variable indices and exponents must be integers: %r" % ((i, e),)
-                )
-            if i < 1 or e < 0:
-                raise IndexOutOfRange("variable indices start at 1, exponents at 0")
-            if e:
+            _index(i, "variable index", low=1)
+            if _index(e, "exponent"):
                 merged[i] = merged.get(i, 0) + e
         self.pairs = tuple(sorted(merged.items()))
 
@@ -253,7 +248,7 @@ def _integer_weights(weights) -> tuple:
     (bool excluded)."""
     values = tuple(weights)
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise MalformedInput("weights must be integers, got %r" % (v,))
     return values
 
@@ -268,27 +263,25 @@ class WeightVector:
 
     @classmethod
     def ones(cls, m: int) -> "WeightVector":
-        return cls([1] * m)
+        return cls([1] * _index(m, "m"))
 
     @classmethod
     def factorials(cls, m: int) -> "WeightVector":
         """t_i = i!; turns the polynomial sum into A000262."""
-        return cls([factorial(i) for i in range(1, m + 1)])
+        return cls([factorial(i) for i in range(1, _index(m, "m") + 1)])
 
     @classmethod
     def shifted_factorials(cls, m: int) -> "WeightVector":
         """t_i = (i-1)!; turns the polynomial sum into n!."""
-        return cls([factorial(i - 1) for i in range(1, m + 1)])
+        return cls([factorial(i - 1) for i in range(1, _index(m, "m") + 1)])
 
     @classmethod
     def derangement_pattern(cls, m: int) -> "WeightVector":
         """t_1 = 0 and t_i = (i-1)!; kills singletons, counts derangements."""
-        return cls([0] + [factorial(i - 1) for i in range(2, m + 1)])
+        return cls([0] + [factorial(i - 1) for i in range(2, _index(m, "m") + 1)])
 
     def value_at(self, i: int) -> int:
-        if i < 1:
-            raise IndexOutOfRange("weight indices start at 1")
-        if i > len(self.values):
+        if _index(i, "i", low=1) > len(self.values):
             raise WeightVectorTooShort(
                 "need weight %d, got only %d" % (i, len(self.values))
             )
@@ -335,12 +328,7 @@ def complete_bell_by_enumeration(n: int) -> BellPolynomial:
     Walks the full partition stream, so n is capped at 13; the formula
     route has no such cap.
     """
-    if n < 0:
-        raise IndexOutOfRange("need n >= 0")
-    if n > ENUMERATION_CEILING:
-        raise SizeTooLarge(
-            "enumeration route is capped at n = %d" % ENUMERATION_CEILING
-        )
+    _index(n, ceiling=ENUMERATION_CEILING)
     tally = {}
     for word in _kernels.iter_rgs(n):
         sizes = [0] * (max(word) if word else 0)
@@ -364,10 +352,7 @@ def partial_bell(n: int, r: int) -> BellPolynomial:
     division, and a nonzero remainder raises NonIntegerCoefficient.  n
     is capped at POLY_CEILING.
     """
-    if n < 0 or r < 0 or r > n:
-        raise IndexOutOfRange("need 0 <= r <= n")
-    if n > POLY_CEILING:
-        raise SizeTooLarge("polynomial builders are capped at n = %d" % POLY_CEILING)
+    _index(r, "r", top=_index(n, ceiling=POLY_CEILING))
     fact = [factorial(i) for i in range(n + 1)]
     terms = {}
     stack = []  # the (size, multiplicity) pairs chosen so far
@@ -402,8 +387,7 @@ def partial_bell(n: int, r: int) -> BellPolynomial:
 def complete_bell_by_sum(n: int) -> BellPolynomial:
     """The full polynomial as the sum of its fixed-block-count parts.
 
-    n is capped at POLY_CEILING; the first part, r = 0, checks it.
+    n is capped at POLY_CEILING.
     """
-    if n < 0:
-        raise IndexOutOfRange("need n >= 0")
+    _index(n, ceiling=POLY_CEILING)
     return _combination((partial_bell(n, r), 1, None) for r in range(n + 1))

@@ -14,13 +14,7 @@ import sys
 from itertools import chain
 
 from . import bellpoly, involutions, numbers, verify
-from .errors import (
-    IndexOutOfRange,
-    MalformedInput,
-    SetpartError,
-    SizeTooLarge,
-    WeightVectorTooShort,
-)
+from .errors import MalformedInput, SetpartError, WeightVectorTooShort, _index
 from .partitions import SetPartition, _read_integers
 
 SYMBOLIC_POLY_CEILING = 13
@@ -125,10 +119,7 @@ def _emit(fmt, document, header, rows, lines) -> None:
 
 
 def _cmd_numbers(args) -> int:
-    if args.max_n < 0:
-        raise IndexOutOfRange("--max-n must be nonnegative")
-    if args.max_n > NUMBERS_CEILING:
-        raise SizeTooLarge("--max-n is capped at %d" % (NUMBERS_CEILING,))
+    _index(args.max_n, "--max-n", ceiling=NUMBERS_CEILING)
     fn = getattr(numbers, _NUMBER_KINDS[args.kind])
     # convert once the table is built: freeing each big integer between
     # string allocations fragments the heap (+0.3-0.9 MB peak RSS at 1000)
@@ -146,8 +137,6 @@ def _cmd_numbers(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise MalformedInput("--jobs must be at least 1")
     report = verify.run_identity(
         args.identity,
         max_n=args.max_n,
@@ -223,14 +212,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bellpoly(args) -> int:
-    n = args.n
-    if n < 0:
-        raise IndexOutOfRange("--n must be nonnegative")
     ceiling = (
         bellpoly.POLY_CEILING if args.weights is not None else SYMBOLIC_POLY_CEILING
     )
-    if n > ceiling:
-        raise SizeTooLarge("--n is capped at %d here" % (ceiling,))
+    n = _index(args.n, "--n", ceiling=ceiling)
     if args.weights is not None:
         weights = _read_integers(args.weights, "weight list")
         # Y_n contains t_n for every n >= 1

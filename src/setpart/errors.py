@@ -3,6 +3,10 @@
 Every error is a subclass of :class:`SetpartError`, so callers can catch the
 whole family with one clause.  The concrete classes mirror the failure modes
 of the public operations.
+
+The module also holds the one rule for integer arguments: _is_int decides
+what an integer is, and _index checks every size, index, window and job
+count against it.
 """
 
 
@@ -10,12 +14,12 @@ class SetpartError(Exception):
     """Base class for all library errors."""
 
 
-class NegativeIndex(SetpartError, ValueError):
-    """A sequence was asked for a value at a negative index."""
-
-
 class IndexOutOfRange(SetpartError, ValueError):
     """An index or parameter pair lies outside the operation's domain."""
+
+
+class NegativeIndex(IndexOutOfRange):
+    """An integer argument that must be nonnegative was negative."""
 
 
 class SizeTooLarge(SetpartError, ValueError):
@@ -48,3 +52,29 @@ class MalformedInput(SetpartError, ValueError):
 
 class PreconditionViolated(SetpartError, ValueError):
     """An inverse map was applied to a value outside the forward image."""
+
+
+def _is_int(value) -> bool:
+    """The one test of an integer argument, element or weight: an int, not
+    a bool (True == 1 would otherwise pass every range check)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _index(value, name="n", top=None, low=0, ceiling=None):
+    """value, when it is an integer with low <= value <= top (the window,
+    such as j <= n) and value <= ceiling (the cap of an exhaustive walk).
+
+    Raises MalformedInput for anything but an int (bool excluded),
+    NegativeIndex below 0, IndexOutOfRange outside [low, top] and
+    SizeTooLarge above ceiling.
+    """
+    if type(value) is not int and not _is_int(value):  # exact ints skip the call
+        raise MalformedInput("%s must be an integer, got %r" % (name, value))
+    if value < 0:
+        raise NegativeIndex("%s must be nonnegative" % (name,))
+    if value < low or top is not None and value > top:
+        high = "" if top is None else " <= %d" % (top,)
+        raise IndexOutOfRange("need %d <= %s%s" % (low, name, high))
+    if ceiling is not None and value > ceiling:
+        raise SizeTooLarge("%s is capped at %d" % (name, ceiling))
+    return value

@@ -25,14 +25,9 @@ from .bellpoly import (
     _size_monomial,
     complete_bell_by_sum,
 )
-from .errors import (
-    IndexOutOfRange,
-    MalformedInput,
-    PreconditionViolated,
-    SizeTooLarge,
-)
+from .errors import MalformedInput, PreconditionViolated, _index, _is_int
 from .numbers import binomial
-from .partitions import GroundSet, SetPartition, _is_int, enumerate_partitions
+from .partitions import GroundSet, SetPartition, enumerate_partitions
 
 CARRIER_CEILING = 10
 SYMBOLIC_CEILING = 7
@@ -64,8 +59,7 @@ class SignedPair:
     __slots__ = ("n", "j", "S", "pi")
 
     def __init__(self, n: int, j: int, S, pi: SetPartition):
-        if not 0 <= j <= n:
-            raise IndexOutOfRange("need 0 <= j <= n")
+        _index(j, "j", top=_index(n))
         marks = tuple(S)
         if not all(_is_int(e) and 1 <= e <= j for e in marks):
             raise MalformedInput("marked elements must lie in {1..%d}" % j)
@@ -166,10 +160,7 @@ def enumerate_carrier(n: int, j: int) -> Iterator[SignedPair]:
     bit e-1 of the counter is set); partitions of the complement follow
     the standard enumeration order.
     """
-    if not 0 <= j <= n:
-        raise IndexOutOfRange("need 0 <= j <= n")
-    if n > CARRIER_CEILING:
-        raise SizeTooLarge("carrier sweeps are capped at n = %d" % CARRIER_CEILING)
+    _index(j, "j", top=_index(n, ceiling=CARRIER_CEILING))
     for s, ground in _complements(n + 1, range(1, j + 1)):
         for pi in enumerate_partitions(ground):
             yield SignedPair._trusted(n, j, s, pi)
@@ -195,6 +186,7 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
     lying in {1..j} migrate into that block too, which is what removes
     them.
     """
+    _index(j, "j", top=_index(n))
     entries = tuple(T)
     for e in entries:  # exact ints skip the call
         if type(e) is not int and not _is_int(e) or not j < e <= n:
@@ -229,6 +221,7 @@ def split_singleton_free(
     a singleton; the block's elements in {j+1..n} become T; n+1 itself is
     dropped.
     """
+    _index(j, "j", top=_index(n))
     if len(p.ground) != n + 1 or not p.ground.is_contiguous():
         raise MalformedInput("p must partition {1..%d}" % (n + 1))
     blocks = p.blocks
@@ -267,7 +260,8 @@ def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
     only.  The two cases are told apart in the image by whether j+1 and
     j+2 share a block.
     """
-    if j < 0 or not src.ground.is_contiguous():
+    _index(j, "j")
+    if not src.ground.is_contiguous():
         raise MalformedInput("source must partition {1..j} or {1..j+1}")
     size = len(src.ground)
     if size not in (j, j + 1):
@@ -296,8 +290,7 @@ class ClassLabel(NamedTuple):
 def classify_cd(p: SetPartition, j: int) -> Tuple[ClassLabel, ...]:
     """The class labels holding p, C label first; empty when p is in
     neither kind of class."""
-    if j < 2:
-        raise IndexOutOfRange("classes are defined for j >= 2")
+    _index(j, "j", low=2)  # the classes are defined from j = 2
     if len(p.ground) != j or not p.ground.is_contiguous():
         raise MalformedInput("p must partition {1..%d}" % j)
     singles = set(p.singleton_elements())
@@ -327,12 +320,7 @@ def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
     Walks every pair, tallies the signs per signature (|S|, sorted block
     sizes), and builds one monomial per signature.
     """
-    if not 0 <= j <= n:
-        raise IndexOutOfRange("need 0 <= j <= n")
-    if n > SYMBOLIC_CEILING:
-        raise SizeTooLarge(
-            "symbolic carrier sweeps are capped at n = %d" % SYMBOLIC_CEILING
-        )
+    _index(j, "j", top=_index(n, ceiling=SYMBOLIC_CEILING))
     tally = {}
     for lam in enumerate_carrier(n, j):
         key = (len(lam.S), tuple(sorted(map(len, lam.pi.blocks))))
@@ -345,8 +333,7 @@ def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
 def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
     """Sum over i of (-1)^i t_1^i binomial(j, i) B_{n+1-i}, where B_m is
     the complete block-size polynomial."""
-    if not 0 <= j <= n:
-        raise IndexOutOfRange("need 0 <= j <= n")
+    _index(j, "j", top=_index(n))
     return _combination(
         (
             complete_bell_by_sum(n + 1 - i),
@@ -364,8 +351,7 @@ def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
     of size k+l+1); the rest avoids singletons in the remaining j-l low
     elements by inclusion-exclusion over r marked ones.
     """
-    if not 0 <= j <= n:
-        raise IndexOutOfRange("need 0 <= j <= n")
+    _index(j, "j", top=_index(n))
     complete = [complete_bell_by_sum(m) for m in range(n + 1)]
     return _combination(
         (

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Tuple
 
 from . import _kernels
-from .errors import IndexOutOfRange, SizeTooLarge
+from .errors import _index
 from .partitions import RGS, _word_letters
 
 WORD_CEILING = 14
@@ -70,15 +70,14 @@ def is_noncrossing(w) -> bool:
 
 def enumerate_noncrossing(n: int) -> Iterator[RGS]:
     """All non-crossing growth strings of length n, lexicographically."""
-    _check_size(n)
+    _index(n, ceiling=WORD_CEILING)
     for word in _kernels.iter_noncrossing(n):
         yield RGS._trusted(word)
 
 
 def count_noncrossing(n: int) -> int:
     """Number of non-crossing partitions of an n-set (a Catalan number)."""
-    _check_size(n)
-    return _kernels.count_noncrossing(n)
+    return _kernels.count_noncrossing(_index(n, ceiling=WORD_CEILING))
 
 
 def is_cyclic_smirnov(w) -> bool:
@@ -99,8 +98,7 @@ def is_cyclic_smirnov(w) -> bool:
 def count_cyclic_smirnov_noncrossing(n: int) -> int:
     """Non-crossing words of length n with no equal cyclically-adjacent
     letters; matches the alternating Catalan transform."""
-    _check_size(n)
-    return _kernels.count_noncrossing_cyclic_smirnov(n)
+    return _kernels.count_noncrossing_cyclic_smirnov(_index(n, ceiling=WORD_CEILING))
 
 
 def count_prefix_smirnov_noncrossing(n: int, j: int) -> int:
@@ -109,9 +107,7 @@ def count_prefix_smirnov_noncrossing(n: int, j: int) -> int:
     The linear reading needs a successor, so j stops at n - 1; matching
     the alternating Catalan partial sum is the point of this count.
     """
-    _check_size(n)
-    if j < 0 or j > n - 1:
-        raise IndexOutOfRange("need 0 <= j <= n - 1")
+    _index(j, "j", top=_index(n, ceiling=WORD_CEILING) - 1)
     return _kernels.count_noncrossing_prefix_smirnov(n, j)
 
 
@@ -135,10 +131,3 @@ def covering_reduction(w) -> Tuple[CoverMask, tuple]:
         c for c, hide in zip(letters, covered) if not hide
     )
     return CoverMask(tuple(covered)), uncovered
-
-
-def _check_size(n: int):
-    if n < 0:
-        raise IndexOutOfRange("need n >= 0")
-    if n > WORD_CEILING:
-        raise SizeTooLarge("word sweeps are capped at n = %d" % WORD_CEILING)

@@ -9,7 +9,13 @@ so that comparing them is a real check and not a tautology.
 import math
 import threading
 
-from .errors import IndexOutOfRange, NegativeIndex, NonIntegerCoefficient
+from .errors import (
+    IndexOutOfRange,
+    MalformedInput,
+    NonIntegerCoefficient,
+    _index,
+    _is_int,
+)
 
 SINGLETON_IDENTITY_VARIANTS = ("collapse", "pair", "alternating")
 
@@ -20,6 +26,8 @@ def binomial(n: int, k: int) -> int:
     The zero-outside convention lets identity sums be written without
     guarding their index ranges.
     """
+    if not (_is_int(n) and _is_int(k)):
+        raise MalformedInput("binomial needs integers, got %r and %r" % (n, k))
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -37,8 +45,7 @@ def bell(n: int) -> int:
     row's last entry, each later entry adds its left and upper-left
     neighbours, and the row's last entry is the next value.
     """
-    if n < 0:
-        raise NegativeIndex("sequence index must be nonnegative")
+    _index(n)
     global _bell_row
     with _bell_lock:
         while len(_bell_cache) <= n:
@@ -55,8 +62,7 @@ def catalan(n: int) -> int:
 
     A nonzero remainder raises NonIntegerCoefficient.
     """
-    if n < 0:
-        raise NegativeIndex("sequence index must be nonnegative")
+    _index(n)
     q, r = divmod(math.comb(2 * n, n), n + 1)
     if r:
         raise NonIntegerCoefficient(
@@ -73,8 +79,7 @@ def catalan_difference(n: int) -> int:
     are carried along by exact ratio updates, and a remainder raises
     NonIntegerCoefficient.
     """
-    if n < 0:
-        raise NegativeIndex("sequence index must be nonnegative")
+    _index(n)
     total = 0
     choose = cat = 1  # binomial(n, i) and catalan(i) at i = 0
     for i in range(n + 1):
@@ -92,8 +97,7 @@ def bell_alternating_sum(n: int, j: int) -> int:
     Counts, with signs, the pairs (S, p) where S is a subset of {1..j}
     and p partitions the rest of {1..n+1}.
     """
-    if j < 0 or j > n:
-        raise IndexOutOfRange("need 0 <= j <= n")
+    _index(j, "j", top=_index(n))
     return sum(
         (-1) ** i * binomial(j, i) * bell(n + 1 - i) for i in range(j + 1)
     )
@@ -105,8 +109,7 @@ def bell_binomial_sum(n: int, j: int) -> int:
     Counts the partitions of {1..n+1} with no singleton block inside
     {1..j}; always equals bell_alternating_sum(n, j).
     """
-    if j < 0 or j > n:
-        raise IndexOutOfRange("need 0 <= j <= n")
+    _index(j, "j", top=_index(n))
     return sum(binomial(n - j, k) * bell(n - k) for k in range(n - j + 1))
 
 
@@ -142,11 +145,8 @@ def singleton_identity_rhs(j: int, variant: str) -> int:
 def _check_variant(j, variant):
     if variant not in SINGLETON_IDENTITY_VARIANTS:
         raise IndexOutOfRange("unknown identity variant %r" % (variant,))
-    if j < 0:
-        raise IndexOutOfRange("need j >= 0")
-    if variant == "alternating" and j < 2:
-        # the alternating right side starts at j = 2; smaller j is undefined
-        raise IndexOutOfRange("the alternating variant needs j >= 2")
+    # the alternating right side starts at j = 2; smaller j is undefined
+    _index(j, "j", low=2 if variant == "alternating" else 0)
 
 
 def catalan_partial_sum(n: int, j: int) -> int:
@@ -154,16 +154,14 @@ def catalan_partial_sum(n: int, j: int) -> int:
 
     At j = n this coincides with catalan_difference(n) after reindexing.
     """
-    if j < 0 or j > n:
-        raise IndexOutOfRange("need 0 <= j <= n")
+    _index(j, "j", top=_index(n))
     return sum(
         (-1) ** i * binomial(j, i) * catalan(n - i) for i in range(j + 1)
     )
 
 
 def factorial(n: int) -> int:
-    if n < 0:
-        raise NegativeIndex("sequence index must be nonnegative")
+    _index(n)
     return math.factorial(n)
 
 
@@ -172,8 +170,7 @@ def derangement(n: int) -> int:
 
     Recurrence: d_n = (n - 1)(d_{n-1} + d_{n-2}), d_0 = 1, d_1 = 0.
     """
-    if n < 0:
-        raise NegativeIndex("sequence index must be nonnegative")
+    _index(n)
     prev2, prev1 = 1, 0
     if n == 0:
         return prev2
@@ -222,10 +219,4 @@ def a000262(n: int) -> int:
 
     Served from a golden table (see the note above) covering n <= 24.
     """
-    if n < 0:
-        raise NegativeIndex("sequence index must be nonnegative")
-    if n >= len(_A000262):
-        raise IndexOutOfRange(
-            "golden table covers n <= %d" % (len(_A000262) - 1,)
-        )
-    return _A000262[n]
+    return _A000262[_index(n, top=len(_A000262) - 1)]

@@ -18,7 +18,8 @@ from .errors import (
     InvalidRGS,
     MalformedInput,
     NonContiguousGround,
-    SizeTooLarge,
+    _index,
+    _is_int,
 )
 
 ENUMERATION_CEILING = 13  # B(13) = 27,644,437 words, walked one by one
@@ -39,11 +40,6 @@ def _read_integers(text: str, what: str) -> tuple:
         except ValueError:  # past int()'s limit on digits
             pass
     raise MalformedInput("bad %s %r" % (what, text))
-
-
-def _is_int(e) -> bool:
-    """The type of every element, mark and entry of T: int, not bool."""
-    return isinstance(e, int) and not isinstance(e, bool)
 
 
 class GroundSet:
@@ -73,17 +69,19 @@ class GroundSet:
     @classmethod
     def range_n(cls, n: int) -> "GroundSet":
         """The contiguous ground set [n] = {1, ..., n}."""
-        if n < 0:
-            raise MalformedInput("ground size must be nonnegative")
+        if not _is_int(n) or n < 0:
+            raise MalformedInput("ground size must be a nonnegative integer")
         return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def of(cls, source) -> "GroundSet":
+        """source itself, the elements of an iterable, or else the size n
+        of [n]."""
         if isinstance(source, GroundSet):
             return source
-        if isinstance(source, int):
-            return cls.range_n(source)
-        return cls(source)
+        if hasattr(source, "__iter__"):
+            return cls(source)
+        return cls.range_n(source)
 
     def is_contiguous(self) -> bool:
         """True when the set is exactly [n] for some n >= 0."""
@@ -211,7 +209,7 @@ class RGS:
         w = tuple(word)
         mx = 0
         for c in w:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1 or c > mx + 1:
+            if not _is_int(c) or c < 1 or c > mx + 1:
                 raise InvalidRGS("not a restricted growth string: %r" % (list(w),))
             if c > mx:
                 mx = c
@@ -312,12 +310,9 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
 
 def count_partitions(ground) -> int:
     """Count partitions of the ground set by walking every growth word."""
-    g = GroundSet.of(ground)
-    if len(g) > ENUMERATION_CEILING:
-        raise SizeTooLarge(
-            "partition counts are capped at n = %d" % ENUMERATION_CEILING
-        )
-    return _kernels.count_rgs(len(g))
+    return _kernels.count_rgs(
+        _index(len(GroundSet.of(ground)), ceiling=ENUMERATION_CEILING)
+    )
 
 
 def to_rgs(p: SetPartition) -> RGS:
@@ -351,6 +346,8 @@ def from_rgs(w) -> SetPartition:
 
 def singletons_in(p: SetPartition, lo: int, hi: int) -> frozenset:
     """The elements e with lo <= e <= hi forming singleton blocks of p."""
+    _index(lo, "lo")
+    _index(hi, "hi")
     return frozenset(
         b[0] for b in p.blocks if len(b) == 1 and lo <= b[0] <= hi
     )
@@ -358,6 +355,7 @@ def singletons_in(p: SetPartition, lo: int, hi: int) -> frozenset:
 
 def block_containing(p: SetPartition, e: int) -> tuple:
     """The unique block of p holding element e."""
+    _index(e, "e")
     for b in p.blocks:
         if e in b:
             return b

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import involutions, noncrossing, numbers, partitions
-from .errors import IndexOutOfRange, SizeTooLarge
+from .errors import IndexOutOfRange, SizeTooLarge, _index
 
 MODES = ("closed-form", "enumerative", "both")
 
@@ -97,11 +97,20 @@ class VerificationReport:
 
 
 def default_max_n(identity: str, mode: str = "both") -> int:
-    return min(_IDENTITIES[identity].default, _ceiling(identity, mode))
+    return min(_entry(identity, mode).default, _ceiling(identity, mode))
+
+
+def _entry(identity: str, mode: str) -> _Identity:
+    """The table row of identity, once identity and mode are known tokens."""
+    if identity not in _IDENTITIES:
+        raise IndexOutOfRange("unknown identity %r" % (identity,))
+    if mode not in MODES:
+        raise IndexOutOfRange("unknown mode %r" % (mode,))
+    return _IDENTITIES[identity]
 
 
 def _ceiling(identity: str, mode: str) -> int:
-    entry = _IDENTITIES[identity]
+    entry = _entry(identity, mode)
     if mode == "enumerative":
         return entry.enumerative_ceiling
     return max(entry.closed_ceiling, entry.enumerative_ceiling)
@@ -121,16 +130,10 @@ def random_weight_vectors(seed: int, length: int, count: int = THM2_NUMERIC_VECT
 
 def plan_cells(identity: str, max_n: int, mode: str):
     """The deterministic cell list for a sweep."""
-    if identity not in _IDENTITIES:
-        raise IndexOutOfRange("unknown identity %r" % (identity,))
-    if mode not in MODES:
-        raise IndexOutOfRange("unknown mode %r" % (mode,))
-    if max_n < 0:
-        raise IndexOutOfRange("max_n must be nonnegative")
-    if max_n > _ceiling(identity, mode):
+    ceiling = _ceiling(identity, mode)
+    if _index(max_n, "max_n") > ceiling:
         raise SizeTooLarge(
-            "%s sweeps in mode %s are capped at max_n = %d"
-            % (identity, mode, _ceiling(identity, mode))
+            "%s sweeps in mode %s are capped at max_n = %d" % (identity, mode, ceiling)
         )
     return _IDENTITIES[identity].grid(max_n)
 
@@ -214,6 +217,7 @@ def run_identity(
     planned order (largest n first); the report order is the planned
     order either way.
     """
+    _index(jobs, "jobs", low=1)
     if max_n is None:
         max_n = default_max_n(identity, mode)
     start = time.perf_counter()

@@ -1,0 +1,206 @@
+"""One rule for every public integer argument (a size, index, window, job
+count or element): it must be an int, not a bool, and it is checked
+before any work is done.  Anything else raises MalformedInput, and -1
+raises an IndexOutOfRange (a NegativeIndex where the rule applies)."""
+
+import inspect
+
+import pytest
+
+import setpart
+from setpart import (
+    GroundSet,
+    Monomial,
+    SetPartition,
+    SignedPair,
+    WeightVector,
+    a000262,
+    bell,
+    bell_alternating_sum,
+    bell_binomial_sum,
+    binomial,
+    block_containing,
+    build_singleton_free,
+    catalan,
+    catalan_difference,
+    catalan_partial_sum,
+    classify_cd,
+    complete_bell_by_enumeration,
+    complete_bell_by_sum,
+    count_cyclic_smirnov_noncrossing,
+    count_noncrossing,
+    count_partitions,
+    count_prefix_smirnov_noncrossing,
+    derangement,
+    enumerate_carrier,
+    enumerate_noncrossing,
+    enumerate_partitions,
+    factorial,
+    gather_singletons_two,
+    partial_bell,
+    run_identity,
+    singleton_identity_lhs,
+    singleton_identity_rhs,
+    singletons_in,
+    split_singleton_free,
+    verify,
+)
+from setpart.errors import IndexOutOfRange, MalformedInput
+from setpart.involutions import (
+    weighted_alternating_sum,
+    weighted_binomial_sum,
+    weighted_carrier_sum,
+)
+
+P = SetPartition.from_text
+
+# (name, callable, valid arguments, positions of the integer arguments,
+# and optionally what -1 in such a position raises when that is not an
+# IndexOutOfRange: a ground size raises MalformedInput, as a bad element
+# would, and None marks binomial's zero-outside rule); a name outside
+# setpart.__all__ has a module prefix
+ARGUMENTS = [
+    ("a000262", a000262, (3,), (0,)),
+    ("bell", bell, (3,), (0,)),
+    ("bell_alternating_sum", bell_alternating_sum, (3, 1), (0, 1)),
+    ("bell_binomial_sum", bell_binomial_sum, (3, 1), (0, 1)),
+    ("binomial", binomial, (3, 1), (0, 1), None),
+    ("catalan", catalan, (3,), (0,)),
+    ("catalan_difference", catalan_difference, (3,), (0,)),
+    ("catalan_partial_sum", catalan_partial_sum, (3, 1), (0, 1)),
+    ("derangement", derangement, (3,), (0,)),
+    ("factorial", factorial, (3,), (0,)),
+    ("singleton_identity_lhs", singleton_identity_lhs, (3, "pair"), (0,)),
+    ("singleton_identity_rhs", singleton_identity_rhs, (3, "pair"), (0,)),
+    ("GroundSet", GroundSet.range_n, (3,), (0,), MalformedInput),
+    ("GroundSet", GroundSet.of, (3,), (0,), MalformedInput),
+    ("SetPartition", SetPartition, (2, [[1, 2]]), (0,), MalformedInput),
+    ("count_partitions", count_partitions, (3,), (0,), MalformedInput),
+    ("enumerate_partitions", enumerate_partitions, (3,), (0,), MalformedInput),
+    ("singletons_in", singletons_in, (P("1/2"), 1, 2), (1, 2)),
+    ("block_containing", block_containing, (P("1/2"), 1), (1,)),
+    ("Monomial", Monomial.single, (2, 1), (0, 1)),
+    ("WeightVector", WeightVector.ones, (3,), (0,)),
+    ("WeightVector", WeightVector.factorials, (3,), (0,)),
+    ("WeightVector", WeightVector.shifted_factorials, (3,), (0,)),
+    ("WeightVector", WeightVector.derangement_pattern, (3,), (0,)),
+    ("WeightVector", WeightVector([5, 7]).value_at, (1,), (0,)),
+    ("complete_bell_by_enumeration", complete_bell_by_enumeration, (3,), (0,)),
+    ("complete_bell_by_sum", complete_bell_by_sum, (3,), (0,)),
+    ("partial_bell", partial_bell, (3, 2), (0, 1)),
+    ("SignedPair", SignedPair, (1, 1, (), P("1,2")), (0, 1)),
+    ("build_singleton_free", build_singleton_free, (1, 1, (), P("1")), (0, 1)),
+    ("split_singleton_free", split_singleton_free, (1, 1, P("1,2")), (0, 1)),
+    ("gather_singletons_two", gather_singletons_two, (P("1"), 1), (1,)),
+    ("classify_cd", classify_cd, (P("1,2"), 2), (1,)),
+    ("enumerate_carrier", enumerate_carrier, (2, 1), (0, 1)),
+    ("involutions.weighted_carrier_sum", weighted_carrier_sum, (2, 1), (0, 1)),
+    ("involutions.weighted_alternating_sum", weighted_alternating_sum, (2, 1), (0, 1)),
+    ("involutions.weighted_binomial_sum", weighted_binomial_sum, (2, 1), (0, 1)),
+    ("count_noncrossing", count_noncrossing, (3,), (0,)),
+    ("count_cyclic_smirnov_noncrossing", count_cyclic_smirnov_noncrossing, (3,), (0,)),
+    (
+        "count_prefix_smirnov_noncrossing",
+        count_prefix_smirnov_noncrossing,
+        (3, 1),
+        (0, 1),
+    ),
+    ("enumerate_noncrossing", enumerate_noncrossing, (3,), (0,)),
+    ("run_identity", run_identity, ("thm1", 2, "both", 0, 1), (1, 4)),
+    ("verify.plan_cells", verify.plan_cells, ("thm1", 2, "both"), (1,)),
+]
+
+# public names that take no integer argument: exceptions and constants,
+# words (sequences of letters, checked as words), polynomial coefficients
+# and weight values, and maps of partitions or pairs alone
+NO_INTEGER_ARGUMENTS = {
+    "ElementNotInGround",
+    "IndexOutOfRange",
+    "InvalidRGS",
+    "MalformedInput",
+    "NegativeIndex",
+    "NonContiguousGround",
+    "NonIntegerCoefficient",
+    "PreconditionViolated",
+    "SetpartError",
+    "SizeTooLarge",
+    "WeightVectorTooShort",
+    "FIXED",
+    "IDENTITIES",
+    "__version__",
+    "RGS",
+    "from_rgs",
+    "to_rgs",
+    "covering_reduction",
+    "is_cyclic_smirnov",
+    "is_noncrossing",
+    "BellPolynomial",
+    "gather_singletons",
+    "partner",
+    "pivot_of",
+}
+
+
+def _call(fn, args):
+    """fn(*args), with a generator drained: generators check their
+    arguments on the first next()."""
+    out = fn(*args)
+    return list(out) if inspect.isgenerator(out) else out
+
+
+def _cases(values):
+    for _, fn, args, slots, *negative in ARGUMENTS:
+        for slot in slots:
+            for value in values:
+                bad = args[:slot] + (value,) + args[slot + 1 :]
+                label = "%s-%d-%r" % (fn.__qualname__, slot, value)
+                yield pytest.param(fn, bad, *negative or [IndexOutOfRange], id=label)
+
+
+def test_every_public_name_is_classified():
+    named = {name for name, *_ in ARGUMENTS if "." not in name}
+    assert not named & NO_INTEGER_ARGUMENTS
+    assert named | NO_INTEGER_ARGUMENTS == set(setpart.__all__)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [pytest.param(fn, args, id=fn.__qualname__) for _, fn, args, *_ in ARGUMENTS],
+)
+def test_valid_arguments_pass(fn, args):
+    _call(fn, args)
+
+
+@pytest.mark.parametrize("fn, args, negative", _cases([2.5, True, "3"]))
+def test_non_integers_are_malformed(fn, args, negative):
+    with pytest.raises(MalformedInput):
+        _call(fn, args)
+
+
+@pytest.mark.parametrize("fn, args, negative", _cases([-1]))
+def test_minus_one_is_out_of_range(fn, args, negative):
+    if negative is None:
+        assert _call(fn, args) == 0
+    else:
+        with pytest.raises(negative):
+            _call(fn, args)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_identity("thm9"),
+        lambda: verify.default_max_n("thm9"),
+        lambda: verify.default_max_n("thm1", "sideways"),
+        lambda: verify.plan_cells("thm9", 3, "both"),
+    ],
+    ids=["run_identity", "default_max_n", "default_max_n-mode", "plan_cells"],
+)
+def test_unknown_tokens_are_out_of_range(call):
+    with pytest.raises(IndexOutOfRange):
+        call()
+
+
+def test_jobs_below_one_are_rejected():
+    with pytest.raises(IndexOutOfRange):
+        run_identity("thm1", 2, jobs=0)

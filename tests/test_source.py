@@ -38,6 +38,29 @@ def test_cli_reads_integer_flags_with_the_package_reader():
     assert found == []
 
 
+def test_errors_alone_decides_what_an_integer_is():
+    # errors._is_int and errors._index are the one rule for integer
+    # arguments: no other module tests for bool or raises NegativeIndex
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            if name(node.func) == "NegativeIndex":
+                found.append("%s:%d" % (path.name, node.lineno))
+            elif name(node.func) == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if "bool" in map(name, kinds):
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 def test_readme_token_table_lists_every_identity():
     # the table right after "`verify` identity tokens:" in the README
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
