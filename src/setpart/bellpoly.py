@@ -11,12 +11,13 @@ multiplicity) pairs and divides exactly in integers; it never forms a
 rational.  A partition's weight is a sparse Monomial with one factor
 t_size per block.  The builders here make each monomial once, already
 canonical, through the unchecked Monomial._trusted, and add every part
-of a sum into one dict; the public Monomial(...) checks its input.
+of a sum into one dict; the public Monomial(...) checks its input, and
+the public BellPolynomial(...) its coefficients.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import _kernels
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     _is_int,
 )
 from .numbers import factorial
-from .partitions import ENUMERATION_CEILING, SetPartition
+from .partitions import ENUMERATION_CEILING
 
 # the formula route builds p(n) monomials for Y_n; p(60) = 966,467
 POLY_CEILING = 60
@@ -62,16 +63,6 @@ class Monomial:
     @classmethod
     def single(cls, index: int, exponent: int = 1) -> "Monomial":
         return cls(((index, exponent),))
-
-    def exponent(self, i: int) -> int:
-        for idx, e in self.pairs:
-            if idx == i:
-                return e
-        return 0
-
-    def weighted_degree(self) -> int:
-        """Sum of index times exponent; block sizes times block counts."""
-        return sum(i * e for i, e in self.pairs)
 
     def times(self, other: "Monomial") -> "Monomial":
         merged = dict(self.pairs)
@@ -142,10 +133,12 @@ class BellPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable = ()):
-        """terms: iterable of (Monomial, coefficient); duplicates merge."""
+        """terms: iterable of (Monomial, int coefficient); duplicates merge."""
         acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for mono, coeff in items:
+            if not _is_int(coeff):
+                raise MalformedInput("coefficients must be integers, got %r" % (coeff,))
             if coeff:
                 acc[mono] = acc.get(mono, 0) + coeff
                 if not acc[mono]:
@@ -159,14 +152,6 @@ class BellPolynomial:
         out._terms = terms
         return out
 
-    @classmethod
-    def zero(cls) -> "BellPolynomial":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c: int) -> "BellPolynomial":
-        return cls(((Monomial.one(), c),))
-
     def terms(self):
         """Term list in the canonical order used for printing."""
         width = max((m.max_index() for m in self._terms), default=0)
@@ -175,17 +160,10 @@ class BellPolynomial:
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __add__(self, other):
         if not isinstance(other, BellPolynomial):
             return NotImplemented
         return _combination(((self, 1, None), (other, 1, None)))
-
-    def scaled(self, coeff: int, mono: Optional[Monomial] = None) -> "BellPolynomial":
-        """This polynomial times a constant and, optionally, a monomial."""
-        return _combination(((self, coeff, mono),))
 
     def evaluate(self, weights) -> int:
         values = _integer_weights(weights)
@@ -278,14 +256,8 @@ class WeightVector:
     @classmethod
     def derangement_pattern(cls, m: int) -> "WeightVector":
         """t_1 = 0 and t_i = (i-1)!; kills singletons, counts derangements."""
-        return cls([0] + [factorial(i - 1) for i in range(2, _index(m, "m") + 1)])
-
-    def value_at(self, i: int) -> int:
-        if _index(i, "i", low=1) > len(self.values):
-            raise WeightVectorTooShort(
-                "need weight %d, got only %d" % (i, len(self.values))
-            )
-        return self.values[i - 1]
+        values = [0] + [factorial(i - 1) for i in range(2, _index(m, "m") + 1)]
+        return cls(values[:m])
 
     def __len__(self):
         return len(self.values)
@@ -310,18 +282,6 @@ def _size_monomial(sizes, ones: int = 0) -> Monomial:
     return Monomial(counts)
 
 
-def weight_of_partition(p: SetPartition, weights=None):
-    """The monomial t_{size} per block, multiplied over all blocks.
-
-    With a weight vector, returns the integer value of that product
-    instead of the symbolic monomial.
-    """
-    mono = _size_monomial(map(len, p.blocks))
-    if weights is None:
-        return mono
-    return mono.evaluate(weights)
-
-
 def complete_bell_by_enumeration(n: int) -> BellPolynomial:
     """Sum of block-size weights over every partition of an n-set.
 
@@ -336,9 +296,7 @@ def complete_bell_by_enumeration(n: int) -> BellPolynomial:
             sizes[c - 1] += 1
         key = tuple(sorted(sizes))
         tally[key] = tally.get(key, 0) + 1
-    return BellPolynomial(
-        (Monomial((s, 1) for s in key), count) for key, count in tally.items()
-    )
+    return BellPolynomial((_size_monomial(key), count) for key, count in tally.items())
 
 
 def partial_bell(n: int, r: int) -> BellPolynomial:

@@ -24,9 +24,6 @@ class CoverMask(NamedTuple):
 
     covered: Tuple[bool, ...]
 
-    def covered_count(self) -> int:
-        return sum(self.covered)
-
 
 def is_noncrossing_bruteforce(w) -> bool:
     """Quartic scan over index quadruples; the reference definition."""

@@ -171,9 +171,6 @@ class SetPartition:
         """Sorted list-of-lists form used by the command-line output."""
         return [list(b) for b in self.blocks]
 
-    def block_sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
-
     def singleton_elements(self) -> tuple:
         return tuple(b[0] for b in self.blocks if len(b) == 1)
 
@@ -342,15 +339,6 @@ def from_rgs(w) -> SetPartition:
     word = RGS(_word_letters(w)).word
     g = GroundSet.range_n(len(word))
     return SetPartition._trusted(g, _blocks_of_word(word, g.elements))
-
-
-def singletons_in(p: SetPartition, lo: int, hi: int) -> frozenset:
-    """The elements e with lo <= e <= hi forming singleton blocks of p."""
-    _index(lo, "lo")
-    _index(hi, "hi")
-    return frozenset(
-        b[0] for b in p.blocks if len(b) == 1 and lo <= b[0] <= hi
-    )
 
 
 def block_containing(p: SetPartition, e: int) -> tuple:

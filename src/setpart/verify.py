@@ -116,7 +116,7 @@ def _ceiling(identity: str, mode: str) -> int:
     return max(entry.closed_ceiling, entry.enumerative_ceiling)
 
 
-def random_weight_vectors(seed: int, length: int, count: int = THM2_NUMERIC_VECTORS):
+def random_weight_vectors(seed: int, length: int):
     """The fixed pseudo-random integer weight vectors for spot checks."""
     rng = random.Random(seed)
     return [
@@ -124,7 +124,7 @@ def random_weight_vectors(seed: int, length: int, count: int = THM2_NUMERIC_VECT
             rng.randint(-THM2_NUMERIC_SPAN, THM2_NUMERIC_SPAN)
             for _ in range(length)
         )
-        for _ in range(count)
+        for _ in range(THM2_NUMERIC_VECTORS)
     ]
 
 

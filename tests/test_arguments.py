@@ -41,7 +41,6 @@ from setpart import (
     run_identity,
     singleton_identity_lhs,
     singleton_identity_rhs,
-    singletons_in,
     split_singleton_free,
     verify,
 )
@@ -77,14 +76,12 @@ ARGUMENTS = [
     ("SetPartition", SetPartition, (2, [[1, 2]]), (0,), MalformedInput),
     ("count_partitions", count_partitions, (3,), (0,), MalformedInput),
     ("enumerate_partitions", enumerate_partitions, (3,), (0,), MalformedInput),
-    ("singletons_in", singletons_in, (P("1/2"), 1, 2), (1, 2)),
     ("block_containing", block_containing, (P("1/2"), 1), (1,)),
     ("Monomial", Monomial.single, (2, 1), (0, 1)),
     ("WeightVector", WeightVector.ones, (3,), (0,)),
     ("WeightVector", WeightVector.factorials, (3,), (0,)),
     ("WeightVector", WeightVector.shifted_factorials, (3,), (0,)),
     ("WeightVector", WeightVector.derangement_pattern, (3,), (0,)),
-    ("WeightVector", WeightVector([5, 7]).value_at, (1,), (0,)),
     ("complete_bell_by_enumeration", complete_bell_by_enumeration, (3,), (0,)),
     ("complete_bell_by_sum", complete_bell_by_sum, (3,), (0,)),
     ("partial_bell", partial_bell, (3, 2), (0, 1)),

@@ -13,7 +13,6 @@ from setpart.bellpoly import (
     complete_bell_by_enumeration,
     complete_bell_by_sum,
     partial_bell,
-    weight_of_partition,
 )
 from setpart.errors import (
     MalformedInput,
@@ -27,9 +26,7 @@ from setpart.partitions import SetPartition, enumerate_partitions
 class TestMonomial:
     def test_merges_and_drops_zero_exponents(self):
         m = Monomial([(2, 1), (1, 3), (2, 1), (4, 0)])
-        assert m.exponent(1) == 3
-        assert m.exponent(2) == 2
-        assert m.exponent(4) == 0
+        assert m.pairs == ((1, 3), (2, 2))
         assert m.to_text() == "t1^3*t2^2"
 
     def test_identity_element(self):
@@ -37,12 +34,10 @@ class TestMonomial:
         m = Monomial.single(3)
         assert one.times(m) == m
         assert one.to_text() == "1"
-        assert one.weighted_degree() == 0
+        assert one.pairs == ()
 
-    def test_weighted_degree_counts_covered_elements(self):
-        # t1^2 * t3 covers 2*1 + 1*3 elements
+    def test_max_index_and_dense_vector(self):
         m = Monomial([(1, 2), (3, 1)])
-        assert m.weighted_degree() == 5
         assert m.max_index() == 3
         assert m.dense(4) == (2, 0, 1, 0)
 
@@ -87,23 +82,31 @@ class TestBellPolynomial:
         assert complete_bell_by_sum(4).to_text() == want
 
     def test_zero_and_constant(self):
-        assert BellPolynomial.zero().to_text() == "0"
-        assert BellPolynomial.zero().is_zero()
-        assert BellPolynomial.constant(7).to_text() == "7"
-        assert BellPolynomial.constant(-2).to_text() == "-2"
+        one = Monomial.one()
+        assert BellPolynomial().to_text() == "0"
+        assert BellPolynomial([(one, 0)]) == BellPolynomial()
+        assert BellPolynomial([(one, 7)]).to_text() == "7"
+        assert BellPolynomial([(one, -2)]).to_text() == "-2"
+
+    @pytest.mark.parametrize("coeff", [2.5, True, "3"])
+    def test_rejects_non_integer_coefficients(self, coeff):
+        # 2.5 would evaluate to a float, and True would read as 1
+        with pytest.raises(MalformedInput):
+            BellPolynomial([(Monomial.one(), coeff)])
 
     def test_negative_terms_render_with_minus(self):
-        p = BellPolynomial.constant(1).scaled(1) + complete_bell_by_sum(
-            1
-        ).scaled(-2)
+        p = BellPolynomial([(Monomial.one(), 1)]) + BellPolynomial(
+            [(Monomial.single(1), -2)]
+        )
         assert p.to_text() == "-2*t1 + 1"
-        q = complete_bell_by_sum(1) + BellPolynomial.constant(-3)
+        q = complete_bell_by_sum(1) + BellPolynomial([(Monomial.one(), -3)])
         assert q.to_text() == "t1 - 3"
 
     def test_addition_cancels(self):
         p = complete_bell_by_sum(3)
-        q = p.scaled(-1)
-        assert (p + q).is_zero()
+        q = BellPolynomial((m, -c) for m, c in p.terms())
+        assert p + q == BellPolynomial()
+        assert (p + q).to_text() == "0"
 
     def test_coefficient_lookup(self):
         p = complete_bell_by_sum(4)
@@ -112,7 +115,8 @@ class TestBellPolynomial:
         assert p.coefficient(Monomial([(1, 9)])) == 0
 
     def test_scaled_by_monomial_shifts_terms(self):
-        p = complete_bell_by_sum(2).scaled(3, Monomial.single(1))
+        # the two weighted closed forms scale by a monomial through _combination
+        p = bellpoly._combination(((complete_bell_by_sum(2), 3, Monomial.single(1)),))
         # 3*t1*(t1^2 + t2) = 3*t1^3 + 3*t1*t2
         assert p.coefficient(Monomial([(1, 3)])) == 3
         assert p.coefficient(Monomial([(1, 1), (2, 1)])) == 3
@@ -140,7 +144,7 @@ class TestEnumerationRoute:
     def test_every_term_covers_n_elements(self):
         for n in range(9):
             for mono, coeff in complete_bell_by_enumeration(n).terms():
-                assert mono.weighted_degree() == n
+                assert sum(i * e for i, e in mono.pairs) == n
                 assert coeff > 0
 
     def test_ceiling_enforced(self):
@@ -189,7 +193,7 @@ class TestCanonicalMonomials:
 class TestPartialSplit:
     @pytest.mark.parametrize("n", range(11))
     def test_partials_sum_to_complete(self, n):
-        total = BellPolynomial.zero()
+        total = BellPolynomial()
         for r in range(n + 1):
             total = total + partial_bell(n, r)
         assert total == complete_bell_by_sum(n)
@@ -223,7 +227,7 @@ class TestPartialSplit:
                 for mono, _ in partial_bell(n, r).terms():
                     total_blocks = sum(e for _, e in mono.pairs)
                     assert total_blocks == r
-                    assert mono.weighted_degree() == n
+                    assert sum(i * e for i, e in mono.pairs) == n
 
     def test_ceiling_enforced(self):
         assert bellpoly.POLY_CEILING == 60
@@ -261,18 +265,20 @@ class TestSpecializations:
 
 
 class TestWeightVector:
-    def test_value_at_is_one_based(self):
-        w = WeightVector([5, 7, 9])
-        assert w.value_at(1) == 5
-        assert w.value_at(3) == 9
-        with pytest.raises(WeightVectorTooShort):
-            w.value_at(4)
-
     def test_named_patterns(self):
         assert tuple(WeightVector.ones(4)) == (1, 1, 1, 1)
         assert tuple(WeightVector.factorials(4)) == (1, 2, 6, 24)
         assert tuple(WeightVector.shifted_factorials(4)) == (1, 1, 2, 6)
         assert tuple(WeightVector.derangement_pattern(4)) == (0, 1, 2, 6)
+        # m weights for t_1..t_m: none at m = 0, then t_1 alone
+        assert tuple(WeightVector.ones(0)) == ()
+        assert tuple(WeightVector.factorials(0)) == ()
+        assert tuple(WeightVector.shifted_factorials(0)) == ()
+        assert tuple(WeightVector.derangement_pattern(0)) == ()
+        assert tuple(WeightVector.ones(1)) == (1,)
+        assert tuple(WeightVector.factorials(1)) == (1,)
+        assert tuple(WeightVector.shifted_factorials(1)) == (1,)
+        assert tuple(WeightVector.derangement_pattern(1)) == (0,)
 
     @pytest.mark.parametrize(
         "values", [[1.5, 3], [1, "3"], [2.0], [1, None], [True, 2]]
@@ -289,30 +295,33 @@ class TestWeightVector:
             complete_bell_by_sum(2).evaluate(values)
 
 
+def weight_of(p):
+    """The block-size monomial of a partition: t_size per block."""
+    return bellpoly._size_monomial(map(len, p.blocks))
+
+
 class TestPartitionWeights:
     def test_worked_example_block_sizes(self):
         p = SetPartition.from_text("1,2,6/3,5,9/4/7,8")
-        mono = weight_of_partition(p)
-        assert mono.exponent(1) == 1
-        assert mono.exponent(2) == 1
-        assert mono.exponent(3) == 2
-        assert mono.weighted_degree() == 9
+        mono = weight_of(p)
+        assert mono.pairs == ((1, 1), (2, 1), (3, 2))
         assert mono == Monomial([(1, 1), (2, 1), (3, 2)])
+        # extra factors of t_1, one per marked element of a signed pair
+        assert bellpoly._size_monomial([3, 1], 2) == Monomial([(1, 3), (3, 1)])
 
     def test_symbolic_weight_is_profile_monomial(self):
         p = SetPartition.from_text("1,3/2/4,5")
-        assert weight_of_partition(p) == Monomial([(1, 1), (2, 2)])
+        assert weight_of(p) == Monomial([(1, 1), (2, 2)])
 
     def test_numeric_weight_multiplies_block_weights(self):
         p = SetPartition.from_text("1,3/2/4,5")
-        assert weight_of_partition(p, WeightVector([3, 5])) == 75
+        assert weight_of(p).evaluate(WeightVector([3, 5])) == 75
         with pytest.raises(MalformedInput):
-            weight_of_partition(p, [3, 5.0])
+            weight_of(p).evaluate([3, 5.0])
 
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=3))
     def test_numeric_equals_symbolic_evaluated(self, n, t):
-        weights = WeightVector([t] * max(n, 1))
+        weights = [t * k for k in range(1, max(n, 1) + 1)]
         for p in enumerate_partitions(n):
-            direct = weight_of_partition(p, weights)
-            via_mono = weight_of_partition(p).evaluate(list(weights))
-            assert direct == via_mono
+            direct = math.prod(weights[len(b) - 1] for b in p.blocks)
+            assert weight_of(p).evaluate(weights) == direct

@@ -182,7 +182,6 @@ class TestCoveringReduction:
             True, False, False, False, False, False, True, False, False,
         )
         assert rest == (1, 2, 3, 2, 1, 4, 2)
-        assert mask.covered_count() == 2
 
     def test_trailing_one_is_masked(self):
         mask, rest = covering_reduction("1231")

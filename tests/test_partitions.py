@@ -21,7 +21,6 @@ from setpart.partitions import (
     count_partitions,
     enumerate_partitions,
     from_rgs,
-    singletons_in,
     to_rgs,
 )
 
@@ -68,7 +67,7 @@ class TestSetPartition:
     def test_blocks_sorted_by_minimum(self):
         p = SetPartition.from_blocks([[7], [2, 4, 5], [6, 8, 9], [1, 3]])
         assert p.to_text() == "1,3/2,4,5/6,8,9/7"
-        assert p.block_sizes() == (2, 3, 3, 1)
+        assert tuple(map(len, p.blocks)) == (2, 3, 3, 1)
         assert p.singleton_elements() == (7,)
 
     def test_from_text_round_trip(self):
@@ -164,7 +163,7 @@ class TestSetPartition:
         start = time.perf_counter()
         p = SetPartition.from_text(text)
         assert time.perf_counter() - start < 2.0
-        assert p.block_sizes() == (n,)
+        assert p.blocks == (tuple(range(1, n + 1)),)
 
 
 class TestRGS:
@@ -300,12 +299,6 @@ class TestRGSCoding:
 
 
 class TestQueries:
-    def test_singletons_in_window(self):
-        p = SetPartition.from_text("1/2,3/4/5/6,7")
-        assert singletons_in(p, 1, 5) == frozenset({1, 4, 5})
-        assert singletons_in(p, 2, 3) == frozenset()
-        assert singletons_in(p, 6, 1) == frozenset()
-
     def test_block_containing(self):
         p = SetPartition.from_text("1,3/2/4,5")
         assert block_containing(p, 3) == (1, 3)
