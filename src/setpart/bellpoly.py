@@ -12,7 +12,7 @@ rational.  A partition's weight is a sparse Monomial with one factor
 t_size per block.  The builders here make each monomial once, already
 canonical, through the unchecked Monomial._trusted, and add every part
 of a sum into one dict; the public Monomial(...) checks its input, and
-the public BellPolynomial(...) its coefficients.
+the public BellPolynomial(...) the monomial and coefficient of each term.
 """
 
 from __future__ import annotations
@@ -70,23 +70,8 @@ class Monomial:
             merged[i] = merged.get(i, 0) + e
         return Monomial._trusted(tuple(sorted(merged.items())))
 
-    def dense(self, width: int) -> tuple:
-        vec = [0] * width
-        for i, e in self.pairs:
-            if i <= width:
-                vec[i - 1] = e
-        return tuple(vec)
-
     def max_index(self) -> int:
         return self.pairs[-1][0] if self.pairs else 0
-
-    def evaluate(self, values) -> int:
-        vals = _integer_weights(values)
-        if self.pairs and self.pairs[-1][0] > len(vals):
-            raise WeightVectorTooShort(
-                "need %d weights, got %d" % (self.pairs[-1][0], len(vals))
-            )
-        return self._product(vals)
 
     def _product(self, vals) -> int:
         # unchecked: vals holds integers for every index in this monomial
@@ -118,15 +103,6 @@ class Monomial:
         return "Monomial(%r)" % (list(self.pairs),)
 
 
-def _term_sort_key(width):
-    # descending lexicographic on the dense exponent vector
-    def key(item):
-        mono, _ = item
-        return tuple(-e for e in mono.dense(width))
-
-    return key
-
-
 class BellPolynomial:
     """A finite integer combination of monomials in t_1, t_2, ..."""
 
@@ -137,6 +113,8 @@ class BellPolynomial:
         acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for mono, coeff in items:
+            if not isinstance(mono, Monomial):
+                raise MalformedInput("each term needs a Monomial, got %r" % (mono,))
             if not _is_int(coeff):
                 raise MalformedInput("coefficients must be integers, got %r" % (coeff,))
             if coeff:
@@ -153,9 +131,16 @@ class BellPolynomial:
         return out
 
     def terms(self):
-        """Term list in the canonical order used for printing."""
-        width = max((m.max_index() for m in self._terms), default=0)
-        return sorted(self._terms.items(), key=_term_sort_key(width))
+        """Term list in the canonical order used for printing: descending
+        lexicographic on the exponents of t_1, t_2, ..., as in t1^3, t1*t2,
+        t3.  On the sparse pairs that is descending on [(-index, exponent),
+        ...]: a monomial whose pairs are a prefix of another's (exponent 0
+        where the other goes on) comes after it."""
+        return sorted(
+            self._terms.items(),
+            key=lambda term: [(-i, e) for i, e in term[0].pairs],
+            reverse=True,
+        )
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)

@@ -229,9 +229,6 @@ class RGS:
             return ",".join(str(c) for c in self.word)
         return "".join(str(c) for c in self.word)
 
-    def to_jsonable(self):
-        return list(self.word)
-
     def __len__(self):
         return len(self.word)
 

@@ -39,23 +39,11 @@ class TestMonomial:
     def test_max_index_and_dense_vector(self):
         m = Monomial([(1, 2), (3, 1)])
         assert m.max_index() == 3
-        assert m.dense(4) == (2, 0, 1, 0)
 
     def test_times_adds_exponents(self):
         a = Monomial([(1, 1), (2, 1)])
         b = Monomial([(2, 2), (5, 1)])
         assert a.times(b) == Monomial([(1, 1), (2, 3), (5, 1)])
-
-    def test_evaluate(self):
-        m = Monomial([(1, 2), (3, 1)])
-        assert m.evaluate([2, 9, 5]) == 20
-        with pytest.raises(WeightVectorTooShort):
-            m.evaluate([2, 9])
-
-    @pytest.mark.parametrize("values", [[1.5], [True], [2, "3"]])
-    def test_evaluate_rejects_non_integer_weights(self, values):
-        with pytest.raises(MalformedInput):
-            Monomial([(1, 2)]).evaluate(values)
 
     @pytest.mark.parametrize("pairs", [[(2, 0.5)], [(1.5, 2)], [(True, 2)]])
     def test_rejects_non_integer_indices_and_exponents(self, pairs):
@@ -93,6 +81,12 @@ class TestBellPolynomial:
         # 2.5 would evaluate to a float, and True would read as 1
         with pytest.raises(MalformedInput):
             BellPolynomial([(Monomial.one(), coeff)])
+
+    @pytest.mark.parametrize("mono", ["t1", None])
+    def test_rejects_terms_without_a_monomial(self, mono):
+        # to_text and evaluate would raise a bare AttributeError later
+        with pytest.raises(MalformedInput):
+            BellPolynomial([(mono, 1)])
 
     def test_negative_terms_render_with_minus(self):
         p = BellPolynomial([(Monomial.one(), 1)]) + BellPolynomial(
@@ -134,6 +128,41 @@ class TestBellPolynomial:
             {"exponents": [[1, 1], [2, 1]], "coefficient": 3},
             {"exponents": [[3, 1]], "coefficient": 1},
         ]
+
+
+def dense_order(poly):
+    """The terms sorted descending lexicographic on dense exponent vectors
+    (t_1's exponent first): the reference for BellPolynomial.terms()."""
+    width = max((m.max_index() for m in poly._terms), default=0)
+
+    def key(term):
+        vec = [0] * width
+        for i, e in term[0].pairs:
+            vec[i - 1] = e
+        return [-e for e in vec]
+
+    return sorted(poly._terms.items(), key=key)
+
+
+class TestTermOrder:
+    @pytest.mark.parametrize("n", range(14))
+    def test_complete_polynomials(self, n):
+        poly = complete_bell_by_sum(n)
+        assert poly.terms() == dense_order(poly)
+
+    def test_partial_polynomials(self):
+        for n in range(11):
+            for r in range(n + 1):
+                poly = partial_bell(n, r)
+                assert poly.terms() == dense_order(poly)
+
+    @given(st.lists(st.tuples(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(0, 3)), max_size=4),
+        st.integers(-3, 3),
+    ), max_size=8))
+    def test_any_polynomial(self, terms):
+        poly = BellPolynomial((Monomial(pairs), c) for pairs, c in terms)
+        assert poly.terms() == dense_order(poly)
 
 
 class TestEnumerationRoute:
@@ -315,13 +344,14 @@ class TestPartitionWeights:
 
     def test_numeric_weight_multiplies_block_weights(self):
         p = SetPartition.from_text("1,3/2/4,5")
-        assert weight_of(p).evaluate(WeightVector([3, 5])) == 75
+        poly = BellPolynomial([(weight_of(p), 1)])
+        assert poly.evaluate(WeightVector([3, 5])) == 75
         with pytest.raises(MalformedInput):
-            weight_of(p).evaluate([3, 5.0])
+            poly.evaluate([3, 5.0])
 
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=3))
     def test_numeric_equals_symbolic_evaluated(self, n, t):
         weights = [t * k for k in range(1, max(n, 1) + 1)]
         for p in enumerate_partitions(n):
             direct = math.prod(weights[len(b) - 1] for b in p.blocks)
-            assert weight_of(p).evaluate(weights) == direct
+            assert BellPolynomial([(weight_of(p), 1)]).evaluate(weights) == direct

@@ -69,6 +69,30 @@ def test_readme_token_table_lists_every_identity():
     assert tokens == list(verify.IDENTITIES)
 
 
+def test_readme_library_examples_run():
+    # every >>> line of the Library block runs in one namespace; a line
+    # followed by a non-prompt line is an expression whose repr must read
+    # as that line, with its trailing "# ..." comment stripped
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {}
+    checked = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        if not line.startswith(">>> "):
+            continue
+        source = line[4:].split("#", 1)[0].strip()
+        if after.strip() and not after.startswith(">>>"):
+            want = after.split("#", 1)[0].strip()
+            assert repr(eval(source, namespace)) == want, source
+            checked.append(source)
+        else:
+            exec(source, namespace)
+    assert "complete_bell_by_sum(3).to_text()" in checked  # the term order
+    assert "complete_bell_by_sum(9).evaluate(WeightVector.factorials(9))" in checked
+    assert len(checked) == 7
+
+
 # public names that only tests call, each kept for a reason
 UNCALLED_BUT_KEPT = {
     "Monomial.one": "the monomial 1, which a constant term is built on",
@@ -76,6 +100,16 @@ UNCALLED_BUT_KEPT = {
     "complete_bell_by_enumeration": "the reference route for the formula route",
     "weight_monomial": "the pair weight that partner must preserve",
 }
+
+
+def public_definitions(body, owner=""):
+    """(name, node) for each public def or class in body; a method is
+    named Class.method."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield owner + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from public_definitions(node.body, node.name + ".")
 
 
 def test_every_public_name_has_a_caller():
@@ -90,18 +124,10 @@ def test_every_public_name_has_a_caller():
     readers += [root / "tests" / name for name in ("test_acceptance.py", "oracles.py")]
     texts = {path: path.read_text(encoding="utf-8").splitlines() for path in readers}
 
-    kinds = (ast.FunctionDef, ast.ClassDef)
-
-    def defined(body, owner=""):
-        for node in body:
-            if isinstance(node, kinds) and not node.name.startswith("_"):
-                yield owner + node.name, node
-                if isinstance(node, ast.ClassDef):
-                    yield from defined(node.body, node.name + ".")
-
     uncalled = []
     for path in modules:
-        for name, node in defined(ast.parse(path.read_text(), str(path)).body):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, node in public_definitions(tree.body):
             # a method is called as .name, anything else by its bare name
             lead = r"\." if "." in name else r"\b"
             use = re.compile(lead + re.escape(node.name) + r"\b")
@@ -115,3 +141,37 @@ def test_every_public_name_has_a_caller():
                 uncalled.append(name)
     assert [name for name in uncalled if name not in UNCALLED_BUT_KEPT] == []
     assert sorted(uncalled) == sorted(UNCALLED_BUT_KEPT)
+
+
+# public names that two definitions share, so the caller guard above, which
+# matches a method by its bare .name, counts either one's callers for both;
+# each is listed with a caller (file, text) that uses this definition
+SHARED_NAMES = {
+    "SetPartition.from_text": ("src/setpart/cli.py", "SetPartition.from_text(args"),
+    "RGS.from_text": ("tests/test_acceptance.py", 'RGS.from_text("112321442")'),
+    "Monomial.to_jsonable": ("src/setpart/bellpoly.py", "m.to_jsonable()"),
+    "BellPolynomial.to_jsonable": ("src/setpart/cli.py", "poly.to_jsonable()"),
+    "SetPartition.to_jsonable": ("src/setpart/verify.py", "lam.pi.to_jsonable()"),
+    "CellResult.to_jsonable": ("src/setpart/verify.py", "c.to_jsonable() for c in"),
+    "VerificationReport.to_jsonable": ("src/setpart/cli.py", "report.to_jsonable()"),
+    "Monomial.to_text": ("src/setpart/bellpoly.py", "mono.to_text()"),
+    "BellPolynomial.to_text": ("src/setpart/verify.py", "lhs.to_text()"),
+    "SetPartition.to_text": ("src/setpart/cli.py", "lam.pi.to_text()"),
+    "RGS.to_text": ("README.md", "to_rgs(p).to_text()"),
+    "_kernels.count_noncrossing": ("src/setpart/noncrossing.py", ".count_noncrossing("),
+    "noncrossing.count_noncrossing": ("src/setpart/verify.py", '("count_noncrossing",'),
+}
+
+
+def test_shared_public_names_are_reviewed():
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, node in public_definitions(tree.body):
+            qualified = name if "." in name else path.stem + "." + name
+            owners.setdefault(node.name, []).append(qualified)
+    shared = {q for names in owners.values() if len(names) > 1 for q in names}
+    assert sorted(shared) == sorted(SHARED_NAMES)
+    root = PACKAGE.parents[1]
+    for name, (path, call) in SHARED_NAMES.items():
+        assert call in (root / path).read_text(encoding="utf-8"), name
