@@ -4,15 +4,16 @@ A partition gets the weight t_a t_b t_c ... where a, b, c are its block
 sizes.  Summing the weights over all partitions of an n-set gives a
 polynomial in t_1..t_n; restricting to partitions with exactly r blocks
 gives its fixed-block-count part.  Two independent constructions of the
-full polynomial (partition enumeration, and the multinomial formula per
-block-count) are kept side by side so they can be checked against each
-other.  The formula route walks the integer partitions of n as (size,
-multiplicity) pairs and divides exactly in integers; it never forms a
-rational.  A partition's weight is a sparse Monomial with one factor
-t_size per block.  The builders here make each monomial once, already
-canonical, through the unchecked Monomial._trusted, and add every part
-of a sum into one dict; the public Monomial(...) checks its input, and
-the public BellPolynomial(...) the monomial and coefficient of each term.
+full polynomial (partition enumeration, and the multinomial formula over
+the integer partitions of n) are kept side by side so they can be checked
+against each other.  The formula route is one walk over the integer
+partitions of n, held to r parts for the fixed-block-count part, that
+divides exactly in integers; it never forms a rational.  A partition's
+weight is a sparse Monomial with one factor t_size per block.  The
+builders here make each monomial once, already canonical, through the
+unchecked Monomial._trusted, and add every part of a sum into one dict;
+the public Monomial(...) checks its input, and the public
+BellPolynomial(...) the monomial and coefficient of each term.
 """
 
 from __future__ import annotations
@@ -284,53 +285,50 @@ def complete_bell_by_enumeration(n: int) -> BellPolynomial:
     return BellPolynomial((_size_monomial(key), count) for key, count in tally.items())
 
 
-def partial_bell(n: int, r: int) -> BellPolynomial:
-    """The part of the full polynomial coming from exactly r blocks.
-
-    Each partition of the integer n into r block sizes, with r_i blocks
-    of size i, contributes n! / (prod r_i! * prod (i!)^{r_i}) times
-    prod t_i^{r_i}.  One recursive walk picks (size, multiplicity) pairs,
-    sizes descending, and carries the denominator down; each finished
-    walk is one trusted Monomial.  Each coefficient is an exact integer
-    division, and a nonzero remainder raises NonIntegerCoefficient.  n
-    is capped at POLY_CEILING.
-    """
-    _index(r, "r", top=_index(n, ceiling=POLY_CEILING))
+def _bell_terms(n: int, blocks=None) -> BellPolynomial:
+    """Y_n, or its part with exactly `blocks` blocks, from one walk that
+    visits each integer partition of n once; r_i blocks of size i add n! /
+    prod(r_i! (i!)^r_i) times prod t_i^r_i.  The walk picks sizes 2 and up,
+    descending, with their multiplicities, carries the denominator down and
+    fills the rest with ones; each leaf divides exactly (NonIntegerCoefficient
+    otherwise) into one trusted Monomial.  A block count prunes dead branches."""
     fact = [factorial(i) for i in range(n + 1)]
     terms = {}
-    stack = []  # the (size, multiplicity) pairs chosen so far
 
-    def walk(total, count, top, denom):
-        # count parts of size at most top still have to sum to total
-        if not count:
-            if total:
-                return
-            coeff, rem = divmod(fact[n], denom)
+    def walk(total, count, top, pairs, denom):
+        # parts of size at most top still sum to total, in count parts
+        # unless count is None; pairs: the (size, multiplicity) pairs so far
+        if count is None or count == total:
+            leaf = ((1, total),) + pairs if total else pairs
+            coeff, rem = divmod(fact[n], denom * fact[total])
             if rem:
-                raise NonIntegerCoefficient(
-                    "coefficient %d/%d for (size, count) pairs %r"
-                    % (fact[n], denom, stack)
-                )
-            terms[Monomial._trusted(tuple(reversed(stack)))] = coeff
-            return
-        # the largest part s is at least ceil(total / count) and leaves at
-        # least 1 for each other part; m parts of size s leave count - m
-        # parts in [1, s - 1] to make up the rest
-        for s in range(min(top, total - count + 1), -(-total // count) - 1, -1):
-            most = count if s == 1 else min(count, (total - count) // (s - 1))
-            for m in range(max(1, total - count * (s - 1)), most + 1):
-                stack.append((s, m))
-                walk(total - m * s, count - m, s - 1, denom * fact[m] * fact[s] ** m)
-                stack.pop()
+                raise NonIntegerCoefficient("coefficient of %r is inexact" % (leaf,))
+            terms[Monomial._trusted(leaf)] = coeff
+        for s in range(min(top, total if count is None else total - count + 1), 1, -1):
+            if count is None:
+                low, most = 1, total // s
+            else:
+                # m parts of size s leave count - m parts in [1, s - 1]
+                low = max(1, total - count * (s - 1))
+                most = min(count, (total - count) // (s - 1))
+            for m in range(low, most + 1):
+                rest = None if count is None else count - m
+                d = denom * fact[m] * fact[s] ** m
+                walk(total - m * s, rest, s - 1, ((s, m),) + pairs, d)
 
-    walk(n, r, n, 1)
+    walk(n, blocks, n, (), 1)
     return BellPolynomial._trusted(terms)
 
 
-def complete_bell_by_sum(n: int) -> BellPolynomial:
-    """The full polynomial as the sum of its fixed-block-count parts.
+def partial_bell(n: int, r: int) -> BellPolynomial:
+    """The part of the full polynomial from exactly r blocks: the
+    integer-partition walk held to r parts.  n is capped at POLY_CEILING."""
+    _index(r, "r", top=_index(n, ceiling=POLY_CEILING))
+    return _bell_terms(n, r)
 
-    n is capped at POLY_CEILING.
-    """
+
+def complete_bell_by_sum(n: int) -> BellPolynomial:
+    """The full polynomial, from the integer-partition walk with no block
+    count: every block count's terms in one pass.  n is capped at POLY_CEILING."""
     _index(n, ceiling=POLY_CEILING)
-    return _combination((partial_bell(n, r), 1, None) for r in range(n + 1))
+    return _bell_terms(n)

@@ -18,7 +18,6 @@ from .errors import MalformedInput, SetpartError, WeightVectorTooShort, _index
 from .partitions import SetPartition, _read_integers
 
 SYMBOLIC_POLY_CEILING = 13
-NUMBERS_CEILING = 1000
 
 _NUMBER_KINDS = {
     "bell": "bell",
@@ -119,7 +118,7 @@ def _emit(fmt, document, header, rows, lines) -> None:
 
 
 def _cmd_numbers(args) -> int:
-    _index(args.max_n, "--max-n", ceiling=NUMBERS_CEILING)
+    _index(args.max_n, "--max-n", ceiling=numbers.NUMBERS_CEILING)
     fn = getattr(numbers, _NUMBER_KINDS[args.kind])
     # convert once the table is built: freeing each big integer between
     # string allocations fragments the heap (+0.3-0.9 MB peak RSS at 1000)

@@ -15,6 +15,7 @@ checker.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import filterfalse
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -317,16 +318,17 @@ def weight_monomial(lam: SignedPair) -> Monomial:
 def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
     """Sum of signed weight monomials over the whole carrier.
 
-    Walks every pair, tallies the signs per signature (|S|, sorted block
-    sizes), and builds one monomial per signature.
+    Walks every pair, counts the pairs per signature (|S|, sorted block
+    sizes), and builds one monomial per signature, signed (-1)^|S|.
     """
     _index(j, "j", top=_index(n, ceiling=SYMBOLIC_CEILING))
-    tally = {}
-    for lam in enumerate_carrier(n, j):
-        key = (len(lam.S), tuple(sorted(map(len, lam.pi.blocks))))
-        tally[key] = tally.get(key, 0) + lam.sign
+    tally = Counter(
+        (len(lam.S), tuple(sorted(map(len, lam.pi.blocks))))
+        for lam in enumerate_carrier(n, j)
+    )
     return BellPolynomial(
-        (_size_monomial(sizes, ones), sign) for (ones, sizes), sign in tally.items()
+        (_size_monomial(sizes, ones), (-1) ** ones * count)
+        for (ones, sizes), count in tally.items()
     )
 
 

@@ -19,6 +19,9 @@ from .errors import (
 
 SINGLETON_IDENTITY_VARIANTS = ("collapse", "pair", "alternating")
 
+# bell(1000) takes ~0.2 s, and its cost grows about cubically in n
+NUMBERS_CEILING = 1000
+
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient, zero outside 0 <= k <= n.
@@ -45,7 +48,7 @@ def bell(n: int) -> int:
     row's last entry, each later entry adds its left and upper-left
     neighbours, and the row's last entry is the next value.
     """
-    _index(n)
+    _index(n, ceiling=NUMBERS_CEILING)
     global _bell_row
     with _bell_lock:
         while len(_bell_cache) <= n:
@@ -62,7 +65,7 @@ def catalan(n: int) -> int:
 
     A nonzero remainder raises NonIntegerCoefficient.
     """
-    _index(n)
+    _index(n, ceiling=NUMBERS_CEILING)
     q, r = divmod(math.comb(2 * n, n), n + 1)
     if r:
         raise NonIntegerCoefficient(
@@ -79,7 +82,7 @@ def catalan_difference(n: int) -> int:
     are carried along by exact ratio updates, and a remainder raises
     NonIntegerCoefficient.
     """
-    _index(n)
+    _index(n, ceiling=NUMBERS_CEILING)
     total = 0
     choose = cat = 1  # binomial(n, i) and catalan(i) at i = 0
     for i in range(n + 1):
@@ -161,7 +164,7 @@ def catalan_partial_sum(n: int, j: int) -> int:
 
 
 def factorial(n: int) -> int:
-    _index(n)
+    _index(n, ceiling=NUMBERS_CEILING)
     return math.factorial(n)
 
 
@@ -170,7 +173,7 @@ def derangement(n: int) -> int:
 
     Recurrence: d_n = (n - 1)(d_{n-1} + d_{n-2}), d_0 = 1, d_1 = 0.
     """
-    _index(n)
+    _index(n, ceiling=NUMBERS_CEILING)
     prev2, prev1 = 1, 0
     if n == 0:
         return prev2

@@ -44,12 +44,13 @@ from setpart import (
     split_singleton_free,
     verify,
 )
-from setpart.errors import IndexOutOfRange, MalformedInput
+from setpart.errors import IndexOutOfRange, MalformedInput, SizeTooLarge
 from setpart.involutions import (
     weighted_alternating_sum,
     weighted_binomial_sum,
     weighted_carrier_sum,
 )
+from setpart.numbers import NUMBERS_CEILING
 
 P = SetPartition.from_text
 
@@ -181,6 +182,15 @@ def test_minus_one_is_out_of_range(fn, args, negative):
     else:
         with pytest.raises(negative):
             _call(fn, args)
+
+
+@pytest.mark.parametrize(
+    "fn", [bell, catalan, catalan_difference, factorial, derangement]
+)
+def test_sequences_stop_at_their_ceiling(fn):
+    assert fn(NUMBERS_CEILING) > 0
+    with pytest.raises(SizeTooLarge):
+        fn(NUMBERS_CEILING + 1)
 
 
 @pytest.mark.parametrize(

@@ -220,7 +220,10 @@ class TestCanonicalMonomials:
 
 
 class TestPartialSplit:
-    @pytest.mark.parametrize("n", range(11))
+    # both builders are the one integer-partition walk, apart from its
+    # block-count pruning, so n = 20 and 25 check the pruning far past
+    # the enumeration route's ceiling
+    @pytest.mark.parametrize("n", [*range(11), 20, 25])
     def test_partials_sum_to_complete(self, n):
         total = BellPolynomial()
         for r in range(n + 1):
@@ -248,6 +251,13 @@ class TestPartialSplit:
         )
         with pytest.raises(NonIntegerCoefficient):
             partial_bell(3, 2)
+
+    def test_inexact_coefficient_raises_without_a_block_count(self, monkeypatch):
+        monkeypatch.setattr(
+            bellpoly, "factorial", lambda k: 7 if k == 3 else math.factorial(k)
+        )
+        with pytest.raises(NonIntegerCoefficient):
+            complete_bell_by_sum(3)
 
     def test_partial_term_block_counts(self):
         # every monomial of the (n, r) slice uses exactly r blocks
