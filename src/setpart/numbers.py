@@ -98,9 +98,10 @@ def bell_alternating_sum(n: int, j: int) -> int:
     """Sum of (-1)^i binomial(j, i) bell(n + 1 - i) over 0 <= i <= j.
 
     Counts, with signs, the pairs (S, p) where S is a subset of {1..j}
-    and p partitions the rest of {1..n+1}.
+    and p partitions the rest of {1..n+1}.  n is capped one below
+    NUMBERS_CEILING, since the first term reads bell(n + 1).
     """
-    _index(j, "j", top=_index(n))
+    _index(j, "j", top=_index(n, ceiling=NUMBERS_CEILING - 1))
     return sum(
         (-1) ** i * binomial(j, i) * bell(n + 1 - i) for i in range(j + 1)
     )
@@ -110,9 +111,9 @@ def bell_binomial_sum(n: int, j: int) -> int:
     """Sum of binomial(n - j, k) bell(n - k) over 0 <= k <= n - j.
 
     Counts the partitions of {1..n+1} with no singleton block inside
-    {1..j}; always equals bell_alternating_sum(n, j).
+    {1..j}; always equals bell_alternating_sum(n, j), and shares its cap.
     """
-    _index(j, "j", top=_index(n))
+    _index(j, "j", top=_index(n, ceiling=NUMBERS_CEILING - 1))
     return sum(binomial(n - j, k) * bell(n - k) for k in range(n - j + 1))
 
 
@@ -148,8 +149,10 @@ def singleton_identity_rhs(j: int, variant: str) -> int:
 def _check_variant(j, variant):
     if variant not in SINGLETON_IDENTITY_VARIANTS:
         raise IndexOutOfRange("unknown identity variant %r" % (variant,))
-    # the alternating right side starts at j = 2; smaller j is undefined
-    _index(j, "j", low=2 if variant == "alternating" else 0)
+    # the alternating right side starts at j = 2; smaller j is undefined.
+    # the pair left side reads bell(j + 2), which caps j for every side
+    low = 2 if variant == "alternating" else 0
+    _index(j, "j", low=low, ceiling=NUMBERS_CEILING - 2)
 
 
 def catalan_partial_sum(n: int, j: int) -> int:
@@ -157,7 +160,7 @@ def catalan_partial_sum(n: int, j: int) -> int:
 
     At j = n this coincides with catalan_difference(n) after reindexing.
     """
-    _index(j, "j", top=_index(n))
+    _index(j, "j", top=_index(n, ceiling=NUMBERS_CEILING))
     return sum(
         (-1) ** i * binomial(j, i) * catalan(n - i) for i in range(j + 1)
     )

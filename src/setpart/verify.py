@@ -19,7 +19,6 @@ returns a counterexample (or None) for the halves it is asked to run.
 from __future__ import annotations
 
 import os
-import random
 import time
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
@@ -36,12 +35,9 @@ MODES = ("closed-form", "enumerative", "both")
 # mode=enumerative to force a hard error instead
 BIJECTIVE_DEPTH = 9
 
-THM2_NUMERIC_VECTORS = 20
-THM2_NUMERIC_SPAN = 3  # entries drawn from [-3, 3]
-
 
 class _Identity(NamedTuple):
-    # checker(cell, seed, closed, sweep) -> None or a counterexample dict,
+    # checker(cell, closed, sweep) -> None or a counterexample dict,
     # running the closed and the sweep half as asked; grid(max_n) -> cells
     checker: Callable
     grid: Callable
@@ -116,18 +112,6 @@ def _ceiling(identity: str, mode: str) -> int:
     return max(entry.closed_ceiling, entry.enumerative_ceiling)
 
 
-def random_weight_vectors(seed: int, length: int):
-    """The fixed pseudo-random integer weight vectors for spot checks."""
-    rng = random.Random(seed)
-    return [
-        tuple(
-            rng.randint(-THM2_NUMERIC_SPAN, THM2_NUMERIC_SPAN)
-            for _ in range(length)
-        )
-        for _ in range(THM2_NUMERIC_VECTORS)
-    ]
-
-
 def plan_cells(identity: str, max_n: int, mode: str):
     """The deterministic cell list for a sweep."""
     ceiling = _ceiling(identity, mode)
@@ -155,17 +139,6 @@ def _parts_grid(max_n):
     ]
 
 
-def _thm2_grid(max_n):
-    # past the symbolic ceiling the check degrades to evaluating both
-    # sides at fixed pseudo-random weight vectors
-    sym_top = min(max_n, involutions.SYMBOLIC_CEILING)
-    return _triangle(sym_top) + [
-        {"n": n, "j": j, "check": "numeric"}
-        for n in range(sym_top + 1, max_n + 1)
-        for j in range(n + 1)
-    ]
-
-
 def _line(max_n):
     return [{"n": n} for n in range(max_n + 1)]
 
@@ -185,7 +158,8 @@ def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
 
     An exception raised by the checker fails this cell only; its type
     and message become the counterexample.  Either way the result carries
-    the cell's elapsed time.
+    the cell's elapsed time.  The seed is the sweep's, which no cell
+    reads today.
     """
     entry = _IDENTITIES[identity]
     start = time.perf_counter()
@@ -197,7 +171,7 @@ def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
             sweep = mode == "enumerative" or (mode == "both" and size <= depth)
         else:
             closed, sweep = False, True
-        found = entry.checker(cell, seed, closed, sweep)
+        found = entry.checker(cell, closed, sweep)
     except Exception as err:
         found = {"error": type(err).__name__, "message": str(err)}
     return CellResult(cell, found is None, found, time.perf_counter() - start)
@@ -247,7 +221,7 @@ def _pair_failure(reason, lam) -> dict:
     return {"reason": reason, "pair": {"S": sorted(lam.S), "pi": lam.pi.to_jsonable()}}
 
 
-def _check_thm1(cell, seed, closed, sweep):
+def _check_thm1(cell, closed, sweep):
     n, j = cell["n"], cell["j"]
     lhs = numbers.bell_alternating_sum(n, j)
     rhs = numbers.bell_binomial_sum(n, j)
@@ -262,7 +236,7 @@ def _check_thm1(cell, seed, closed, sweep):
     return None
 
 
-def _check_involution(cell, seed, closed, sweep):
+def _check_involution(cell, closed, sweep):
     n, j = cell["n"], cell["j"]
     partner, FIXED = involutions.partner, involutions.FIXED
     signed = 0
@@ -318,7 +292,7 @@ def _check_coding(n, j, code):
     return None
 
 
-def _check_psi(cell, seed, closed, sweep):
+def _check_psi(cell, closed, sweep):
     n, j = cell["n"], cell["j"]
 
     def code(t, rho):
@@ -331,7 +305,7 @@ def _check_psi(cell, seed, closed, sweep):
 
 
 def _check_cor(variant, part):
-    def check(cell, seed, closed, sweep):
+    def check(cell, closed, sweep):
         j = cell["j"]
         lhs = numbers.singleton_identity_lhs(j, variant)
         rhs = numbers.singleton_identity_rhs(j, variant)
@@ -354,7 +328,7 @@ def _no_singleton_targets(size, j):
     }
 
 
-def _check_bijections(cell, seed, closed, sweep):
+def _check_bijections(cell, closed, sweep):
     check = _PARTS.get(cell["part"])
     if check is None:
         raise IndexOutOfRange("unknown bijection part %r" % (cell["part"],))
@@ -410,17 +384,10 @@ _PARTS = {
 }
 
 
-def _check_thm2(cell, seed, closed, sweep):
+def _check_thm2(cell, closed, sweep):
     n, j = cell["n"], cell["j"]
     lhs = involutions.weighted_alternating_sum(n, j)
     rhs = involutions.weighted_binomial_sum(n, j)
-    if cell.get("check") == "numeric":
-        for vec in random_weight_vectors(seed, n + 1):
-            lv = lhs.evaluate(vec)
-            rv = rhs.evaluate(vec)
-            if lv != rv:
-                return {"weights": list(vec), "lhs": str(lv), "rhs": str(rv)}
-        return None
     if closed and lhs != rhs:
         return {"lhs": lhs.to_text(), "rhs": rhs.to_text()}
     if sweep:
@@ -437,7 +404,7 @@ def _check_nc(count, closed_form, key):
     in order, are the arguments of each.
     """
 
-    def check(cell, seed, closed, sweep):
+    def check(cell, closed, sweep):
         args = tuple(cell.values())
         got = getattr(noncrossing, count)(*args)
         want = getattr(numbers, closed_form)(*args)
@@ -463,16 +430,20 @@ _WORDS = noncrossing.WORD_CEILING
 # identity has no closed half and sweeps in every mode), enumerative ceiling
 _IDENTITIES = {
     "thm1": _Identity(_check_thm1, _triangle, 12, 40, _CARRIER),
-    "cor2": _Identity(_check_cor("collapse", "gather-one"), _window(0), 12, 40, 10),
-    "cor3": _Identity(_check_cor("pair", "gather-two"), _window(0), 12, 40, 10),
-    "cor4": _Identity(_check_cor("alternating", "classes"), _window(2), 12, 40, 10),
-    "thm2": _Identity(_check_thm2, _thm2_grid, 10, 10, involutions.SYMBOLIC_CEILING),
+    "cor2": _Identity(
+        _check_cor("collapse", "gather-one"), _window(0), 12, 40, _CARRIER
+    ),
+    "cor3": _Identity(_check_cor("pair", "gather-two"), _window(0), 12, 40, _CARRIER),
+    "cor4": _Identity(
+        _check_cor("alternating", "classes"), _window(2), 12, 40, _CARRIER
+    ),
+    "thm2": _Identity(_check_thm2, _triangle, 10, 10, involutions.SYMBOLIC_CEILING),
     "nc-catalan": _Identity(_check_nc_catalan, _line, 12, 0, _WORDS),
     "nc-k": _Identity(_check_nc_k, _line, 12, 0, _WORDS),
     "nc-firstj": _Identity(_check_nc_firstj, _prefix_grid, 10, 0, _WORDS),
     "involution": _Identity(_check_involution, _triangle, 9, 0, _CARRIER),
-    "psi": _Identity(_check_psi, _triangle, 9, 0, 10),
-    "bijections": _Identity(_check_bijections, _parts_grid, 9, 0, 10),
+    "psi": _Identity(_check_psi, _triangle, 9, 0, _CARRIER),
+    "bijections": _Identity(_check_bijections, _parts_grid, 9, 0, _CARRIER),
 }
 
 IDENTITIES = tuple(_IDENTITIES)

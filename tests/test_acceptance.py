@@ -100,24 +100,11 @@ def test_criterion_5_weighted_identity(capsys):
     def body():
         report = verify.run_identity("thm2", max_n=10, seed=0, jobs=JOBS)
         assert report.passed, report.failures()
-        symbolic = {
-            (c.params["n"], c.params["j"])
-            for c in report.cells
-            if "check" not in c.params
-        }
-        numeric = {
-            (c.params["n"], c.params["j"])
-            for c in report.cells
-            if c.params.get("check") == "numeric"
-        }
-        assert symbolic == {
-            (n, j) for n in range(8) for j in range(n + 1)
-        }
-        assert numeric == {
-            (n, j) for n in range(8, 11) for j in range(n + 1)
-        }
+        assert [c.params for c in report.cells] == [
+            {"n": n, "j": j} for n in range(11) for j in range(n + 1)
+        ]
 
-    run_criterion(capsys, 5, "weighted identity, symbolic + numeric", 180, body)
+    run_criterion(capsys, 5, "weighted identity, exact polynomials", 180, body)
 
 
 def test_criterion_6_polynomial_specializations(capsys):

@@ -193,6 +193,34 @@ def test_sequences_stop_at_their_ceiling(fn):
         fn(NUMBERS_CEILING + 1)
 
 
+# each identity side is capped by the largest sequence index it reads, so
+# both sides of an identity share one domain and the refusal names the
+# side's own argument
+@pytest.mark.parametrize(
+    "side, name, below",
+    [
+        pytest.param(lambda n: bell_alternating_sum(n, 0), "n", 1, id="bell-alt"),
+        pytest.param(lambda n: bell_binomial_sum(n, 0), "n", 1, id="bell-binom"),
+        pytest.param(lambda n: catalan_partial_sum(n, 0), "n", 0, id="catalan-partial"),
+    ]
+    + [
+        pytest.param(
+            lambda j, side=side, variant=variant: side(j, variant),
+            "j",
+            2,
+            id="%s-%s" % (side.__name__[-3:], variant),
+        )
+        for side in (singleton_identity_lhs, singleton_identity_rhs)
+        for variant in ("collapse", "pair", "alternating")
+    ],
+)
+def test_identity_sides_stop_at_their_own_ceiling(side, name, below):
+    cap = NUMBERS_CEILING - below
+    assert isinstance(side(cap), int)
+    with pytest.raises(SizeTooLarge, match="^%s is capped at %d$" % (name, cap)):
+        side(cap + 1)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -64,14 +64,12 @@ class TestPlanning:
         assert (0, "gather-one") in parts
         assert (0, "gather-two") in parts
 
-    def test_weighted_plan_splits_symbolic_from_numeric(self):
-        cells = verify.plan_cells("thm2", 9, "both")
-        symbolic = [c for c in cells if "check" not in c]
-        numeric = [c for c in cells if c.get("check") == "numeric"]
-        assert max(c["n"] for c in symbolic) == 7
-        assert {c["n"] for c in numeric} == {8, 9}
-        none_in_enum = verify.plan_cells("thm2", 7, "enumerative")
-        assert all("check" not in c for c in none_in_enum)
+    def test_weighted_plan_is_the_triangle(self):
+        for mode in ("both", "closed-form"):
+            assert verify.plan_cells("thm2", 10, mode) == verify._triangle(10)
+        assert verify.plan_cells("thm2", 7, "enumerative") == verify._triangle(7)
+        with pytest.raises(SizeTooLarge):
+            verify.plan_cells("thm2", 8, "enumerative")
 
     def test_prefix_grid_skips_empty_words(self):
         cells = verify.plan_cells("nc-firstj", 3, "both")
@@ -99,24 +97,6 @@ class TestPlanning:
                 depth = verify.default_max_n(identity, mode)
                 assert depth <= verify._ceiling(identity, mode)
                 verify.plan_cells(identity, depth, mode)
-
-
-class TestSeededVectors:
-    def test_deterministic_per_seed(self):
-        a = verify.random_weight_vectors(7, 5)
-        b = verify.random_weight_vectors(7, 5)
-        assert a == b
-        assert a != verify.random_weight_vectors(8, 5)
-
-    def test_shape_and_range(self):
-        vectors = verify.random_weight_vectors(0, 6)
-        assert len(vectors) == verify.THM2_NUMERIC_VECTORS
-        for v in vectors:
-            assert len(v) == 6
-            assert all(
-                -verify.THM2_NUMERIC_SPAN <= t <= verify.THM2_NUMERIC_SPAN
-                for t in v
-            )
 
 
 class TestRunIdentity:
@@ -194,11 +174,6 @@ class TestRunIdentity:
         assert widths == []
         assert wide.cells == serial.cells
 
-    def test_numeric_cells_respect_seed(self):
-        a = verify.run_identity("thm2", max_n=8, mode="closed-form", seed=3)
-        assert a.passed
-        assert any(c.params.get("check") == "numeric" for c in a.cells)
-
     def test_report_jsonable_schema(self):
         report = verify.run_identity("nc-k", max_n=5)
         data = report.to_jsonable()
@@ -214,7 +189,8 @@ class TestRunIdentity:
 
 class TestModePolicy:
     """Which halves of a check a mode runs, seen by making the sweep
-    halves of thm1 (the carrier) and cor2 (the gather-one map) raise."""
+    halves of thm1 and thm2 (the carrier) and cor2 (the gather-one map)
+    raise."""
 
     BOOM = {"error": "RuntimeError", "message": "sweep half ran"}
 
@@ -226,16 +202,21 @@ class TestModePolicy:
         monkeypatch.setattr(involutions, "enumerate_carrier", boom)
         monkeypatch.setattr(involutions, "gather_singletons", boom)
 
-    @pytest.mark.parametrize("identity, size", [("thm1", "n"), ("cor2", "j")])
+    @pytest.mark.parametrize(
+        "identity, size", [("thm1", "n"), ("cor2", "j"), ("thm2", "n")]
+    )
     @pytest.mark.parametrize(
         "mode, deepest_sweep", [("enumerative", 10), ("both", 9), ("closed-form", -1)]
     )
     def test_mixed_identity_sweeps_by_mode(self, identity, size, mode, deepest_sweep):
-        report = verify.run_identity(identity, max_n=10, mode=mode)
-        planned = verify.plan_cells(identity, 10, mode)
+        # the weighted carrier stops at n = 7, in every mode
+        top = 7 if identity == "thm2" else 10
+        max_n = top if mode == "enumerative" else 10
+        report = verify.run_identity(identity, max_n=max_n, mode=mode)
+        planned = verify.plan_cells(identity, max_n, mode)
         assert [c.params for c in report.cells] == planned
         assert [c.params for c in report.failures()] == [
-            c for c in planned if c[size] <= deepest_sweep
+            c for c in planned if c[size] <= min(deepest_sweep, top)
         ]
         assert all(c.counterexample == self.BOOM for c in report.failures())
 
@@ -432,12 +413,22 @@ class TestFalsifiedOracle:
         )
         report = verify.run_identity("thm2", max_n=8, mode="closed-form")
         cells = verify.plan_cells("thm2", 8, "closed-form")
-        assert any(c.get("check") == "numeric" for c in cells)
         assert [c.params for c in report.failures()] == cells
-        for c in report.failures():
-            if c.params.get("check") == "numeric":
-                assert set(c.counterexample) == {"weights", "lhs", "rhs"}
-                lhs, rhs = int(c.counterexample["lhs"]), int(c.counterexample["rhs"])
-                assert rhs - lhs == c.counterexample["weights"][0]
-            else:
-                assert set(c.counterexample) == {"lhs", "rhs"}
+        assert all(set(c.counterexample) == {"lhs", "rhs"} for c in report.failures())
+
+    def test_thm2_wrong_side_vanishing_on_small_weights_fails_every_cell(
+        self, monkeypatch
+    ):
+        # (t1 + 3)(t1 + 2)...(t1 - 3): zero at every integer t1 in [-3, 3]
+        wrong = BellPolynomial(
+            (Monomial.single(1, power), coeff)
+            for power, coeff in ((7, 1), (5, -14), (3, 49), (1, -36))
+        )
+        assert all(wrong.evaluate((t,)) == 0 for t in range(-3, 4))
+        orig = involutions.weighted_binomial_sum
+        monkeypatch.setattr(
+            involutions, "weighted_binomial_sum", lambda n, j: orig(n, j) + wrong
+        )
+        report = verify.run_identity("thm2", max_n=10, mode="closed-form")
+        assert len(report.failures()) == len(report.cells) == 66
+        assert all(set(c.counterexample) == {"lhs", "rhs"} for c in report.failures())
