@@ -21,7 +21,6 @@ from .errors import (
 )
 from .partitions import (
     RGS,
-    GroundSet,
     SetPartition,
     block_containing,
     count_partitions,
@@ -47,7 +46,6 @@ from .bellpoly import (
     BellPolynomial,
     Monomial,
     WeightVector,
-    complete_bell_by_enumeration,
     complete_bell_by_sum,
     partial_bell,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "BellPolynomial",
     "ElementNotInGround",
     "FIXED",
-    "GroundSet",
     "IDENTITIES",
     "IndexOutOfRange",
     "InvalidRGS",
@@ -108,7 +105,6 @@ __all__ = [
     "catalan_difference",
     "catalan_partial_sum",
     "classify_cd",
-    "complete_bell_by_enumeration",
     "complete_bell_by_sum",
     "count_cyclic_smirnov_noncrossing",
     "count_noncrossing",

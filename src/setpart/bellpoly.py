@@ -3,24 +3,21 @@
 A partition gets the weight t_a t_b t_c ... where a, b, c are its block
 sizes.  Summing the weights over all partitions of an n-set gives a
 polynomial in t_1..t_n; restricting to partitions with exactly r blocks
-gives its fixed-block-count part.  Two independent constructions of the
-full polynomial (partition enumeration, and the multinomial formula over
-the integer partitions of n) are kept side by side so they can be checked
-against each other.  The formula route is one walk over the integer
-partitions of n, held to r parts for the fixed-block-count part, that
-divides exactly in integers; it never forms a rational.  A partition's
-weight is a sparse Monomial with one factor t_size per block.  The
-builders here make each monomial once, already canonical, through the
-unchecked Monomial._trusted, and add every part of a sum into one dict;
-the public Monomial(...) checks its input, and the public
-BellPolynomial(...) the monomial and coefficient of each term.
+gives its fixed-block-count part.  Both come from the multinomial formula
+over the integer partitions of n, which the test suite checks against a
+walk over every set partition: one walk, held to r parts for the
+fixed-block-count part, that divides exactly in integers; it never forms
+a rational.  A partition's weight is a sparse Monomial with one factor
+t_size per block.  The builders here make each monomial once, already
+canonical, through the unchecked Monomial._trusted, and add every part
+of a sum into one dict; the public Monomial(...) checks its input, and
+the public BellPolynomial(...) the monomial and coefficient of each term.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from . import _kernels
 from .errors import (
     MalformedInput,
     NonIntegerCoefficient,
@@ -29,7 +26,6 @@ from .errors import (
     _is_int,
 )
 from .numbers import factorial
-from .partitions import ENUMERATION_CEILING
 
 # the formula route builds p(n) monomials for Y_n; p(60) = 966,467
 POLY_CEILING = 60
@@ -266,23 +262,6 @@ def _size_monomial(sizes, ones: int = 0) -> Monomial:
     for size in sizes:
         counts[size] = counts.get(size, 0) + 1
     return Monomial(counts)
-
-
-def complete_bell_by_enumeration(n: int) -> BellPolynomial:
-    """Sum of block-size weights over every partition of an n-set.
-
-    Walks the full partition stream, so n is capped at 13; the formula
-    route has no such cap.
-    """
-    _index(n, ceiling=ENUMERATION_CEILING)
-    tally = {}
-    for word in _kernels.iter_rgs(n):
-        sizes = [0] * (max(word) if word else 0)
-        for c in word:
-            sizes[c - 1] += 1
-        key = tuple(sorted(sizes))
-        tally[key] = tally.get(key, 0) + 1
-    return BellPolynomial((_size_monomial(key), count) for key, count in tally.items())
 
 
 def _bell_terms(n: int, blocks=None) -> BellPolynomial:

@@ -14,7 +14,13 @@ import sys
 from itertools import chain
 
 from . import bellpoly, involutions, numbers, verify
-from .errors import MalformedInput, SetpartError, WeightVectorTooShort, _index
+from .errors import (
+    MalformedInput,
+    SetpartError,
+    SizeTooLarge,
+    WeightVectorTooShort,
+    _index,
+)
 from .partitions import SetPartition, _read_integers
 
 SYMBOLIC_POLY_CEILING = 13
@@ -230,7 +236,14 @@ def _cmd_bellpoly(args) -> int:
             (p.to_text() for p in (poly,)),
         )
     else:
-        value = str(poly.evaluate(weights))
+        value = poly.evaluate(weights)
+        try:
+            value = str(value)
+        except ValueError:  # past int-to-text's limit on digits
+            raise SizeTooLarge(
+                "the value has over %d digits, too many to print"
+                % (sys.get_int_max_str_digits(),)
+            ) from None
         document = {"n": n, "weights": weights, "value": value}
         parts = (document, ("n", "value"), ((str(n), value),), (value,))
     _emit(args.format, *parts)

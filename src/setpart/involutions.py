@@ -28,7 +28,7 @@ from .bellpoly import (
 )
 from .errors import MalformedInput, PreconditionViolated, _index, _is_int
 from .numbers import binomial
-from .partitions import GroundSet, SetPartition, enumerate_partitions
+from .partitions import SetPartition, _is_range, enumerate_partitions
 
 CARRIER_CEILING = 10
 SYMBOLIC_CEILING = 7
@@ -66,7 +66,7 @@ class SignedPair:
             raise MalformedInput("marked elements must lie in {1..%d}" % j)
         s = frozenset(marks)
         # sizes first, so the check costs no more than the input
-        ground = pi.ground.elements
+        ground = pi.ground
         if len(ground) != n + 1 - len(s) or ground != _without(n + 1, s):
             raise MalformedInput(
                 "partition ground must be {1..%d} minus the marked set" % (n + 1)
@@ -122,7 +122,7 @@ def partner(lam: SignedPair) -> Union[SignedPair, FixedPoint]:
     pivot = pivot_of(lam)
     if pivot is None:
         return FIXED
-    ground = lam.pi.ground.elements
+    ground = lam.pi.ground
     blocks = lam.pi.blocks
     # both tuples ascend (blocks by least element), and the pivot is
     # either marked and absent from both or a singleton block
@@ -134,7 +134,7 @@ def partner(lam: SignedPair) -> Union[SignedPair, FixedPoint]:
     else:
         new_ground = ground[:i] + ground[i + 1 :]
         new_blocks = blocks[:k] + blocks[k + 1 :]
-    pi = SetPartition._trusted(GroundSet._trusted(new_ground), new_blocks)
+    pi = SetPartition._trusted(new_ground, new_blocks)
     return SignedPair._trusted(lam.n, lam.j, lam.S ^ {pivot}, pi)
 
 
@@ -172,7 +172,7 @@ def _complements(size: int, choices: range):
     counter picks choices[i]), with the ground set {1..size} minus X."""
     for mask in range(1 << len(choices)):
         x = frozenset(e for i, e in enumerate(choices) if mask >> i & 1)
-        yield x, GroundSet._trusted(_without(size, x))
+        yield x, _without(size, x)
 
 
 def _without(size: int, x: frozenset) -> tuple:
@@ -193,11 +193,11 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
         if type(e) is not int and not _is_int(e) or not j < e <= n:
             raise MalformedInput("T must lie in {%d..%d}" % (j + 1, n))
     t = frozenset(entries)
-    ground = rho.ground.elements
+    ground = rho.ground
     if len(ground) != n - len(t) or ground != _without(n, t):
         raise MalformedInput("rho must partition {1..%d} minus T" % n)
     blocks = _gather_low_singletons(rho.blocks, j, sorted(t) + [n + 1])
-    return SetPartition(GroundSet.range_n(n + 1), blocks)
+    return SetPartition(n + 1, blocks)
 
 
 def _gather_low_singletons(blocks, j, larger) -> list:
@@ -223,7 +223,7 @@ def split_singleton_free(
     dropped.
     """
     _index(j, "j", top=_index(n))
-    if len(p.ground) != n + 1 or not p.ground.is_contiguous():
+    if len(p.ground) != n + 1 or not _is_range(p.ground):
         raise MalformedInput("p must partition {1..%d}" % (n + 1))
     blocks = p.blocks
     for a, b in enumerate(blocks):
@@ -239,17 +239,17 @@ def split_singleton_free(
     t = frozenset(anchor[k:-1])
     # disjoint blocks sort by least element
     blocks = tuple(sorted(rest + tuple((e,) for e in anchor[:k])))
-    return t, SetPartition._trusted(GroundSet._trusted(_without(n, t)), blocks)
+    return t, SetPartition._trusted(_without(n, t), blocks)
 
 
 def gather_singletons(src: SetPartition) -> SetPartition:
     """Send a partition of {1..j} to one of {1..j+1} with no singleton
     in {1..j}: all singletons join a new block with j+1."""
-    if not src.ground.is_contiguous():
+    if not _is_range(src.ground):
         raise MalformedInput("source must partition {1..j}")
     j = len(src.ground)
     blocks = _gather_low_singletons(src.blocks, j, [j + 1])
-    return SetPartition(GroundSet.range_n(j + 1), blocks)
+    return SetPartition(j + 1, blocks)
 
 
 def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
@@ -262,7 +262,7 @@ def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
     j+2 share a block.
     """
     _index(j, "j")
-    if not src.ground.is_contiguous():
+    if not _is_range(src.ground):
         raise MalformedInput("source must partition {1..j} or {1..j+1}")
     size = len(src.ground)
     if size not in (j, j + 1):
@@ -271,7 +271,7 @@ def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
         )
     larger = [j + 1, j + 2] if size == j else [j + 2]
     blocks = _gather_low_singletons(src.blocks, j, larger)
-    return SetPartition(GroundSet.range_n(j + 2), blocks)
+    return SetPartition(j + 2, blocks)
 
 
 class ClassLabel(NamedTuple):
@@ -292,7 +292,7 @@ def classify_cd(p: SetPartition, j: int) -> Tuple[ClassLabel, ...]:
     """The class labels holding p, C label first; empty when p is in
     neither kind of class."""
     _index(j, "j", low=2)  # the classes are defined from j = 2
-    if len(p.ground) != j or not p.ground.is_contiguous():
+    if len(p.ground) != j or not _is_range(p.ground):
         raise MalformedInput("p must partition {1..%d}" % j)
     singles = set(p.singleton_elements())
     run = 0

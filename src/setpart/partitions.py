@@ -42,85 +42,49 @@ def _read_integers(text: str, what: str) -> tuple:
     raise MalformedInput("bad %s %r" % (what, text))
 
 
-class GroundSet:
-    """A finite set of positive integers, held in increasing order."""
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: Iterable[int]):
-        raw = tuple(elements)
-        for e in raw:
-            if not _is_int(e) or e < 1:
-                raise MalformedInput("ground elements must be integers >= 1")
-        elems = tuple(sorted(raw))
-        for a, b in zip(elems, elems[1:]):
-            if a == b:
-                raise MalformedInput("duplicate ground element %d" % (a,))
-        self.elements = elems
-
-    @classmethod
-    def _trusted(cls, elements: tuple) -> "GroundSet":
-        # Internal fast path: caller guarantees a sorted duplicate-free tuple
-        # of integers >= 1.
-        g = object.__new__(cls)
-        g.elements = elements
-        return g
-
-    @classmethod
-    def range_n(cls, n: int) -> "GroundSet":
-        """The contiguous ground set [n] = {1, ..., n}."""
-        if not _is_int(n) or n < 0:
+def _ground(source) -> tuple:
+    """The ground set source names, ascending: {1..n} for an int n >= 0,
+    else the elements of an iterable, each an int >= 1 (bool excluded),
+    none repeated."""
+    if not hasattr(source, "__iter__"):
+        if not _is_int(source) or source < 0:
             raise MalformedInput("ground size must be a nonnegative integer")
-        return cls._trusted(tuple(range(1, n + 1)))
+        return tuple(range(1, source + 1))
+    raw = tuple(source)
+    for e in raw:  # before sorting, which mixed types would break
+        if not _is_int(e) or e < 1:
+            raise MalformedInput("ground elements must be integers >= 1")
+    elems = tuple(sorted(raw))
+    for a, b in zip(elems, elems[1:]):
+        if a == b:
+            raise MalformedInput("duplicate ground element %d" % (a,))
+    return elems
 
-    @classmethod
-    def of(cls, source) -> "GroundSet":
-        """source itself, the elements of an iterable, or else the size n
-        of [n]."""
-        if isinstance(source, GroundSet):
-            return source
-        if hasattr(source, "__iter__"):
-            return cls(source)
-        return cls.range_n(source)
 
-    def is_contiguous(self) -> bool:
-        """True when the set is exactly [n] for some n >= 0."""
-        # sorted, distinct and >= 1: [n] exactly when the largest is n
-        return not self.elements or self.elements[-1] == len(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, e):
-        return e in self.elements
-
-    def __eq__(self, other):
-        if isinstance(other, GroundSet):
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __repr__(self):
-        return "GroundSet(%r)" % (list(self.elements),)
+def _is_range(ground: tuple) -> bool:
+    """True when the ground is exactly {1..n} for some n >= 0."""
+    # sorted, distinct and >= 1: {1..n} exactly when the largest is n
+    return not ground or ground[-1] == len(ground)
 
 
 class SetPartition:
     """A partition of a ground set into disjoint nonempty blocks.
 
-    Blocks are stored sorted by smallest element, with each block's
-    elements ascending, so equal partitions compare equal structurally.
+    The ground is the ascending tuple of its elements.  Blocks are stored
+    sorted by smallest element, with each block's elements ascending, so
+    equal partitions compare equal structurally.
     """
 
     __slots__ = ("ground", "blocks")
 
     def __init__(self, ground, blocks: Iterable[Iterable[int]]):
-        g = GroundSet.of(ground)
-        members = set(g.elements)  # one set, so each test is O(1)
+        """ground: a size n, naming {1..n}, or an iterable as _ground reads
+        it; {1..n} is built only once the blocks are seen to cover it."""
+        if _is_int(ground) and ground >= 0:
+            g, size, members = None, ground, range(1, ground + 1)
+        else:
+            g = _ground(ground)
+            size, members = len(g), set(g)  # one set, so each test is O(1)
         norm = []
         seen = set()
         for block in blocks:
@@ -128,22 +92,24 @@ class SetPartition:
             if not b:
                 raise MalformedInput("blocks must be nonempty")
             for e in b:  # before sorting, which mixed types would break
-                if type(e) is not int and not _is_int(e):  # exact ints skip the call
-                    raise MalformedInput("element %r is not an integer" % (e,))
+                if type(e) is not int:  # exact ints skip the calls
+                    if not _is_int(e):
+                        raise MalformedInput("element %r is not an integer" % (e,))
+                    e = int(e)  # a range scans for an int subclass
                 if e in seen:
                     raise MalformedInput("element %r appears in two blocks" % (e,))
                 if e not in members:
                     raise MalformedInput("element %r not in the ground set" % (e,))
                 seen.add(e)
             norm.append(tuple(sorted(b)))
-        if len(seen) != len(g):
+        if len(seen) != size:
             raise MalformedInput("blocks do not cover the ground set")
         norm.sort()  # disjoint blocks: tuple order is least-element order
-        self.ground = g
+        self.ground = tuple(members) if g is None else g
         self.blocks = tuple(norm)
 
     @classmethod
-    def _trusted(cls, ground: GroundSet, blocks: tuple) -> "SetPartition":
+    def _trusted(cls, ground: tuple, blocks: tuple) -> "SetPartition":
         # Internal fast path: caller guarantees canonical, valid structure.
         p = object.__new__(cls)
         p.ground = ground
@@ -155,7 +121,7 @@ class SetPartition:
         """Build a partition whose ground set is the union of the blocks."""
         mat = [tuple(b) for b in blocks]  # the constructor sorts them
         union = [e for b in mat for e in b]
-        return cls(GroundSet(union), mat)
+        return cls(union, mat)
 
     @classmethod
     def from_text(cls, text: str) -> "SetPartition":
@@ -184,7 +150,7 @@ class SetPartition:
         if isinstance(other, SetPartition):
             return (
                 self.blocks == other.blocks
-                and self.ground.elements == other.ground.elements
+                and self.ground == other.ground
             )
         return NotImplemented
 
@@ -285,8 +251,8 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
     and the last element is placed into a copy of them.  In lexicographic
     order the prefix changes exactly when the last letter falls back to 1.
     """
-    g = GroundSet.of(ground)
-    head, last = g.elements[:-1], g.elements[-1:]
+    g = _ground(ground)
+    head, last = g[:-1], g[-1:]
     make = SetPartition._trusted
     for word in _kernels.iter_rgs(len(g)):
         if not word:
@@ -304,9 +270,9 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
 
 def count_partitions(ground) -> int:
     """Count partitions of the ground set by walking every growth word."""
-    return _kernels.count_rgs(
-        _index(len(GroundSet.of(ground)), ceiling=ENUMERATION_CEILING)
-    )
+    # a size meets the ceiling before {1..n} is built
+    size = ground if _is_int(ground) and ground >= 0 else len(_ground(ground))
+    return _kernels.count_rgs(_index(size, ceiling=ENUMERATION_CEILING))
 
 
 def to_rgs(p: SetPartition) -> RGS:
@@ -315,7 +281,7 @@ def to_rgs(p: SetPartition) -> RGS:
     Raises NonContiguousGround for any other ground set, which has no
     canonical word.
     """
-    if not p.ground.is_contiguous():
+    if not _is_range(p.ground):
         raise NonContiguousGround(
             "only partitions of {1,...,n} have a growth-string form"
         )
@@ -334,8 +300,8 @@ def from_rgs(w) -> SetPartition:
     sequence.
     """
     word = RGS(_word_letters(w)).word
-    g = GroundSet.range_n(len(word))
-    return SetPartition._trusted(g, _blocks_of_word(word, g.elements))
+    g = tuple(range(1, len(word) + 1))
+    return SetPartition._trusted(g, _blocks_of_word(word, g))
 
 
 def block_containing(p: SetPartition, e: int) -> tuple:

@@ -6,10 +6,14 @@ recurrences instead of closed forms, permutation filters instead of
 formulas.  Slow is fine; these run at small sizes.
 """
 
+import collections
 import functools
 import itertools
 import math
 from fractions import Fraction
+
+from setpart._kernels import iter_rgs
+from setpart.bellpoly import BellPolynomial, Monomial
 
 
 def partitions_by_placement(elements):
@@ -78,6 +82,18 @@ def complete_bell_by_recurrence(x):
     for m in range(len(x)):
         y.append(sum(math.comb(m, k) * x[k] * y[m - k] for k in range(m + 1)))
     return y[-1]
+
+
+def complete_bell_by_enumeration(n):
+    """Y_n as the sum over every partition of an n-set of t_size per
+    block, walking each growth word: a word's letter counts are the block
+    sizes.  The library builds Y_n from the integer partitions of n
+    instead.  n = 12 takes ~10 s."""
+    tally = collections.Counter()
+    for word in iter_rgs(n):
+        sizes = collections.Counter(collections.Counter(word).values())
+        tally[tuple(sorted(sizes.items()))] += 1
+    return BellPolynomial((Monomial(key), count) for key, count in tally.items())
 
 
 def derangements_by_bruteforce(n):

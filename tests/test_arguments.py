@@ -9,7 +9,6 @@ import pytest
 
 import setpart
 from setpart import (
-    GroundSet,
     Monomial,
     SetPartition,
     SignedPair,
@@ -25,7 +24,6 @@ from setpart import (
     catalan_difference,
     catalan_partial_sum,
     classify_cd,
-    complete_bell_by_enumeration,
     complete_bell_by_sum,
     count_cyclic_smirnov_noncrossing,
     count_noncrossing,
@@ -51,8 +49,25 @@ from setpart.involutions import (
     weighted_carrier_sum,
 )
 from setpart.numbers import NUMBERS_CEILING
+from setpart.partitions import _ground
 
 P = SetPartition.from_text
+
+
+class GroundSet:
+    """The two ways a ground is given, as the former GroundSet class read
+    them, both now partitions._ground."""
+
+    @staticmethod
+    def range_n(n):
+        """{1..n} from its size n."""
+        return _ground(n)
+
+    @staticmethod
+    def of(source):
+        """A ground from its size or from an iterable of its elements."""
+        return _ground(source)
+
 
 # (name, callable, valid arguments, positions of the integer arguments,
 # and optionally what -1 in such a position raises when that is not an
@@ -72,8 +87,8 @@ ARGUMENTS = [
     ("factorial", factorial, (3,), (0,)),
     ("singleton_identity_lhs", singleton_identity_lhs, (3, "pair"), (0,)),
     ("singleton_identity_rhs", singleton_identity_rhs, (3, "pair"), (0,)),
-    ("GroundSet", GroundSet.range_n, (3,), (0,), MalformedInput),
-    ("GroundSet", GroundSet.of, (3,), (0,), MalformedInput),
+    ("partitions._ground", GroundSet.range_n, (3,), (0,), MalformedInput),
+    ("partitions._ground", GroundSet.of, (3,), (0,), MalformedInput),
     ("SetPartition", SetPartition, (2, [[1, 2]]), (0,), MalformedInput),
     ("count_partitions", count_partitions, (3,), (0,), MalformedInput),
     ("enumerate_partitions", enumerate_partitions, (3,), (0,), MalformedInput),
@@ -83,7 +98,6 @@ ARGUMENTS = [
     ("WeightVector", WeightVector.factorials, (3,), (0,)),
     ("WeightVector", WeightVector.shifted_factorials, (3,), (0,)),
     ("WeightVector", WeightVector.derangement_pattern, (3,), (0,)),
-    ("complete_bell_by_enumeration", complete_bell_by_enumeration, (3,), (0,)),
     ("complete_bell_by_sum", complete_bell_by_sum, (3,), (0,)),
     ("partial_bell", partial_bell, (3, 2), (0, 1)),
     ("SignedPair", SignedPair, (1, 1, (), P("1,2")), (0, 1)),

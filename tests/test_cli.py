@@ -413,6 +413,18 @@ class TestBellpoly:
         assert code == 0
         assert out.strip() == "11"
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_value_too_long_to_print_is_usage_error(self, capsys, fmt):
+        # t1^2 has 8,001 digits, past the default int-to-text limit of 4,300
+        weights = "9" * 4001 + ",1"
+        code, out, err = run_cli(
+            capsys, "bellpoly", "--n", "2", "--weights", weights, "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == "error: the value has over %d digits, too many to print\n" % limit
+
     def test_empty_weight_list_is_no_weights(self, capsys):
         code, out, _ = run_cli(capsys, "bellpoly", "--n", "0", "--weights=")
         assert code == 0

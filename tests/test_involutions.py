@@ -29,11 +29,7 @@ from setpart.involutions import (
     weighted_binomial_sum,
     weighted_carrier_sum,
 )
-from setpart.partitions import (
-    GroundSet,
-    SetPartition,
-    enumerate_partitions,
-)
+from setpart.partitions import SetPartition, enumerate_partitions
 
 
 def unsigned_carrier_count(n, j):
@@ -78,6 +74,12 @@ class TestSignedPair:
         pi = SetPartition.from_text("2/3")
         with pytest.raises(MalformedInput):
             SignedPair(3, 1, frozenset({1}), pi)
+
+    def test_rejects_ground_of_right_size_and_wrong_elements(self):
+        # {1..4} has four elements, as does {1, 2, 3, 5}
+        pi = SetPartition.from_text("1,2/3,5")
+        with pytest.raises(MalformedInput, match="minus the marked set"):
+            SignedPair(3, 1, frozenset(), pi)
 
     def test_huge_n_is_rejected_at_input_cost(self):
         with pytest.raises(MalformedInput):
@@ -200,7 +202,7 @@ class TestInvolution:
                 assert (out.n, out.j) == (n, j)
                 assert out.S == S
                 assert out.pi.blocks == blocks
-                assert out.pi.ground.elements == ground
+                assert out.pi.ground == ground
 
     def test_pivot_is_largest_toggle_site(self):
         lam = SignedPair(
@@ -222,9 +224,7 @@ class TestSingletonFreeCoding:
             for r in range(len(tail) + 1):
                 for combo in itertools.combinations(tail, r):
                     T = frozenset(combo)
-                    rest = GroundSet.of(
-                        [e for e in range(1, n + 1) if e not in T]
-                    )
+                    rest = [e for e in range(1, n + 1) if e not in T]
                     for rho in enumerate_partitions(rest):
                         p = build_singleton_free(n, j, T, rho)
                         assert not any(
@@ -242,14 +242,26 @@ class TestSingletonFreeCoding:
             assert image == want
 
     def test_split_rejects_low_singletons(self):
-        p = SetPartition.from_text("1/2,3,4")
-        with pytest.raises(PreconditionViolated):
-            split_singleton_free(3, 2, p)
+        # {1} lies below j = 2 and {2} is j itself
+        for text in ("1/2,3,4", "2/1,3,4"):
+            p = SetPartition.from_text(text)
+            with pytest.raises(PreconditionViolated):
+                split_singleton_free(3, 2, p)
 
     def test_build_rejects_bad_tail_set(self):
         rho = SetPartition.from_text("1,2,3")
         with pytest.raises(MalformedInput):
             build_singleton_free(3, 2, frozenset({2}), rho)
+
+    @pytest.mark.parametrize(
+        "n, j, T, rho",
+        [(3, 2, (2,), "1/3"), (3, 2, (4,), "1,2/3"), (1, 0, (True,), "")],
+        ids=["j", "n+1", "True"],
+    )
+    def test_build_rejects_each_entry_outside_the_tail(self, n, j, T, rho):
+        # the message tells the check on T apart from the check on rho
+        with pytest.raises(MalformedInput, match="^T must lie in"):
+            build_singleton_free(n, j, T, SetPartition.from_text(rho))
 
     def test_huge_n_is_rejected_at_input_cost(self):
         p = SetPartition.from_text("1,2")
@@ -265,7 +277,7 @@ class TestGatherSingletons:
         image = set()
         for src in enumerate_partitions(j):
             out = gather_singletons(src)
-            assert out.ground == GroundSet.range_n(j + 1)
+            assert out.ground == tuple(range(1, j + 2))
             assert not any(e <= j for e in out.singleton_elements())
             image.add(out)
         want = {
@@ -287,7 +299,7 @@ class TestGatherSingletonsTwo:
         image_small = set()
         for src in enumerate_partitions(j):
             out = gather_singletons_two(src, j)
-            assert out.ground == GroundSet.range_n(j + 2)
+            assert out.ground == tuple(range(1, j + 3))
             # discriminator: the two new elements share a block
             b1 = next(b for b in out.blocks if j + 1 in b)
             assert j + 2 in b1

@@ -15,8 +15,9 @@ from setpart.errors import (
 )
 from setpart.partitions import (
     RGS,
-    GroundSet,
     SetPartition,
+    _ground,
+    _is_range,
     block_containing,
     count_partitions,
     enumerate_partitions,
@@ -25,42 +26,74 @@ from setpart.partitions import (
 )
 
 
+class IntSubclass(int):
+    """An integer element that is not of type int itself."""
+
+
+# every public reader of a ground, and the private one they share
+GROUND_READERS = [
+    _ground,
+    count_partitions,
+    lambda ground: list(enumerate_partitions(ground)),
+    lambda ground: SetPartition(ground, []),
+]
+
+
+def assert_every_reader_refuses(cases):
+    for bad, message in cases:
+        for read in GROUND_READERS:
+            with pytest.raises(MalformedInput) as err:
+                read(bad)
+            assert str(err.value) == message
+
+
 class TestGroundSet:
+    """A ground is the ascending tuple of its elements; an int n names
+    {1..n}."""
+
     def test_of_int(self):
-        g = GroundSet.of(4)
-        assert tuple(g) == (1, 2, 3, 4)
-        assert len(g) == 4
-        assert 3 in g and 5 not in g
+        assert _ground(4) == (1, 2, 3, 4)
+        assert SetPartition(4, [[4, 2], [3, 1]]).ground == (1, 2, 3, 4)
+        assert {p.ground for p in enumerate_partitions(4)} == {(1, 2, 3, 4)}
+        assert count_partitions(4) == 15
 
     def test_of_iterable_sorts_and_checks(self):
-        g = GroundSet.of([5, 2, 4])
-        assert tuple(g) == (2, 4, 5)
-        assert not g.is_contiguous()
-        assert GroundSet.of([1, 2, 3]).is_contiguous()
-        assert GroundSet.of(0).is_contiguous()
-        assert GroundSet.of([]).is_contiguous()
+        assert _ground([5, 2, 4]) == (2, 4, 5)
+        assert SetPartition([5, 2, 4], [[5], [4, 2]]).ground == (2, 4, 5)
+        assert {p.ground for p in enumerate_partitions([5, 2, 4])} == {(2, 4, 5)}
+        assert not _is_range(_ground([5, 2, 4]))
+        for ground in ([1, 2, 3], 0, []):
+            assert _is_range(_ground(ground))
         for gaps in ([2], [1, 3], [2, 3]):
-            assert not GroundSet.of(gaps).is_contiguous()
+            assert not _is_range(_ground(gaps))
+            with pytest.raises(NonContiguousGround):
+                to_rgs(SetPartition(gaps, [gaps]))
 
     def test_of_groundset_is_identity(self):
-        g = GroundSet.of([3, 1])
-        assert GroundSet.of(g) is g
+        g = _ground([3, 1])
+        assert _ground(g) == g
+        p = SetPartition(g, [[3], [1]])
+        assert p.ground == g
+        assert SetPartition(p.ground, p.blocks) == p
 
     def test_rejects_bad_elements(self):
-        with pytest.raises(MalformedInput):
-            GroundSet.of([0, 1])
-        with pytest.raises(MalformedInput):
-            GroundSet.of([-2])
-        with pytest.raises(MalformedInput):
-            GroundSet.of([1, 1, 2])
-        with pytest.raises(MalformedInput):
-            GroundSet.of(["a"])
-        with pytest.raises(MalformedInput):
-            GroundSet.range_n(-1)
+        assert_every_reader_refuses(
+            [
+                ([0, 1], "ground elements must be integers >= 1"),
+                ([-2], "ground elements must be integers >= 1"),
+                ([1, 1, 2], "duplicate ground element 1"),
+                (["a"], "ground elements must be integers >= 1"),
+                (-1, "ground size must be a nonnegative integer"),
+            ]
+        )
 
     def test_rejects_bool_elements(self):
-        with pytest.raises(MalformedInput):
-            GroundSet([True, 2])
+        assert_every_reader_refuses(
+            [
+                ([True, 2], "ground elements must be integers >= 1"),
+                (True, "ground size must be a nonnegative integer"),
+            ]
+        )
 
 
 class TestSetPartition:
@@ -94,7 +127,7 @@ class TestSetPartition:
         with pytest.raises(MalformedInput):
             SetPartition.from_blocks([[1], []])
         with pytest.raises(MalformedInput):
-            SetPartition(GroundSet.of(3), [[1, 2]])
+            SetPartition(3, [[1, 2]])
         with pytest.raises(MalformedInput):
             SetPartition.from_text("1//2")
 
@@ -120,7 +153,7 @@ class TestSetPartition:
         "ground", [*range(6), (2, 4, 5), (1, 3)], ids=str
     )
     def test_every_route_builds_equal_and_hash_equal_objects(self, ground):
-        g = GroundSet.of(ground)
+        g = _ground(ground)
         for p in enumerate_partitions(g):
             # reversed blocks and elements, so the constructor sorts
             shuffled = [list(reversed(b)) for b in reversed(p.blocks)]
@@ -129,14 +162,16 @@ class TestSetPartition:
                 SetPartition.from_blocks(shuffled),
                 SetPartition.from_text(p.to_text()),
             ]
-            if g.is_contiguous():
+            if isinstance(ground, int):  # {1..n} by its size
+                routes.append(SetPartition(ground, shuffled))
+            if _is_range(g):
                 routes.append(from_rgs(to_rgs(p)))
             for q in routes:
                 assert q == p and hash(q) == hash(p)
                 assert q.blocks == p.blocks and q.ground == p.ground
             # the blocks determine the ground, which is why hashing the
             # blocks alone agrees with equality
-            wider = GroundSet(g.elements + (max(g.elements, default=0) + 1,))
+            wider = g + (max(g, default=0) + 1,)
             with pytest.raises(MalformedInput, match="do not cover"):
                 SetPartition(wider, p.blocks)
 
@@ -151,8 +186,46 @@ class TestSetPartition:
         ],
     )
     def test_constructor_messages(self, ground, blocks, message):
-        with pytest.raises(MalformedInput) as err:
-            SetPartition(ground, blocks)
+        for g in (ground, _ground(ground)):  # {1..n} by its size and by its elements
+            with pytest.raises(MalformedInput) as err:
+                SetPartition(g, blocks)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: count_partitions(10**12), SizeTooLarge, "n is capped at 13"),
+            (
+                lambda: SetPartition(10**12, [[1]]),
+                MalformedInput,
+                "blocks do not cover the ground set",
+            ),
+            (
+                lambda: SetPartition(10**12, [[1, 10**12 + 1]]),
+                MalformedInput,
+                "element %d not in the ground set" % (10**12 + 1),
+            ),
+            (
+                lambda: SetPartition(10**12, [[IntSubclass(5 * 10**7)]]),
+                MalformedInput,
+                "blocks do not cover the ground set",
+            ),
+        ],
+        ids=[
+            "count_partitions",
+            "SetPartition-cover",
+            "SetPartition-element",
+            "SetPartition-int-subclass",
+        ],
+    )
+    def test_huge_size_is_refused_before_the_ground_is_built(
+        self, build, error, message
+    ):
+        # {1..10**12} as a tuple would take terabytes
+        start = time.perf_counter()
+        with pytest.raises(error) as err:
+            build()
+        assert time.perf_counter() - start < 0.1
         assert str(err.value) == message
 
     def test_large_block_builds_in_linear_time(self):
@@ -224,17 +297,17 @@ class TestEnumeration:
     def test_matches_placement_oracle_on_sparse_grounds(self, ground):
         got = {
             frozenset(frozenset(b) for b in p)
-            for p in enumerate_partitions(GroundSet.of(ground))
+            for p in enumerate_partitions(ground)
         }
         assert got == set(oracles.partitions_by_placement(ground))
 
     @pytest.mark.parametrize(
         "ground",
-        [*range(9), (2, 4, 5), (1, 3), (9,), GroundSet(())],
+        [*range(9), (2, 4, 5), (1, 3), (9,), ()],
         ids=str,
     )
     def test_stream_decodes_each_growth_word(self, ground):
-        g = GroundSet.of(ground)
+        g = _ground(ground)
         stream = list(enumerate_partitions(ground))
         decoded = [
             SetPartition(
@@ -266,8 +339,8 @@ class TestEnumeration:
         assert count_partitions(n) == oracles.bell_by_placement(n)
 
     def test_count_on_sparse_ground_depends_only_on_size(self):
-        assert count_partitions(GroundSet.of((2, 4, 5))) == 5
-        assert count_partitions(GroundSet.of(())) == 1
+        assert count_partitions((2, 4, 5)) == 5
+        assert count_partitions(()) == 1
 
     def test_count_above_ceiling_raises(self):
         with pytest.raises(SizeTooLarge):

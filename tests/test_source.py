@@ -97,7 +97,6 @@ def test_readme_library_examples_run():
 UNCALLED_BUT_KEPT = {
     "Monomial.one": "the monomial 1, which a constant term is built on",
     "BellPolynomial.coefficient": "reads one term without rendering the polynomial",
-    "complete_bell_by_enumeration": "the reference route for the formula route",
     "weight_monomial": "the pair weight that partner must preserve",
 }
 

@@ -367,6 +367,26 @@ class TestFalsifiedOracle:
             for j in range(1, n + 1)
         ]
 
+    def test_fixed_pair_with_a_mark_or_low_singleton_is_caught(self, monkeypatch):
+        # the pair ({1}, 2,3) and its true partner ((), 1/2,3) both
+        # reported fixed; the counts fail too, so the reason is asserted
+        orig = involutions.partner
+        faked = {(frozenset(), "1/2,3"), (frozenset({1}), "2,3")}
+
+        def lazy(lam):
+            if (lam.n, lam.j) == (2, 1) and (lam.S, lam.pi.to_text()) in faked:
+                return involutions.FIXED
+            return orig(lam)
+
+        monkeypatch.setattr(involutions, "partner", lazy)
+        report = verify.run_identity("involution", max_n=2)
+        assert self.failing(report) == [({"n": 2, "j": 1}, "false fixed point")]
+        # the unmarked pair comes first, so its singleton {j} is the catch
+        assert report.failures()[0].counterexample["pair"] == {
+            "S": [],
+            "pi": [[1], [2, 3]],
+        }
+
     def test_partner_with_a_wrong_ground_is_caught(self, monkeypatch):
         orig = involutions.partner
 
