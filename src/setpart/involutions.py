@@ -14,7 +14,7 @@ checker.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from itertools import filterfalse
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
@@ -196,21 +196,23 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
     ground = rho.ground
     if len(ground) != n - len(t) or ground != _without(n, t):
         raise MalformedInput("rho must partition {1..%d} minus T" % n)
-    blocks = _gather_low_singletons(rho.blocks, j, sorted(t) + [n + 1])
-    return SetPartition(n + 1, blocks)
+    return _gather_low_singletons(rho.blocks, j, sorted(t) + [n + 1])
 
 
-def _gather_low_singletons(blocks, j, larger) -> list:
-    """The blocks with every singleton inside {1..j} moved into one new
-    block, placed last, together with the ascending elements larger, all
-    above j; the validating SetPartition constructor reorders the blocks.
+def _gather_low_singletons(blocks, j, larger) -> SetPartition:
+    """The partition of {1..larger[-1]} made of the blocks, with every
+    singleton inside {1..j} moved into one new block together with the
+    ascending elements larger, all above j.
 
     This is the coding of build_singleton_free; the gather maps are that
-    coding at n = j and n = j + 1.
+    coding at n = j and n = j + 1.  Each caller has checked that the
+    blocks partition {1..larger[-1]} minus larger, so the result is built
+    unchecked: the new block ascends, and it is inserted where its least
+    element puts it among the others.
     """
     out = [b for b in blocks if len(b) > 1 or b[0] > j]
-    out.append(tuple([b[0] for b in blocks if len(b) == 1 and b[0] <= j] + larger))
-    return out
+    insort(out, tuple([b[0] for b in blocks if len(b) == 1 and b[0] <= j] + larger))
+    return SetPartition._trusted(tuple(range(1, larger[-1] + 1)), tuple(out))
 
 
 def split_singleton_free(
@@ -248,8 +250,7 @@ def gather_singletons(src: SetPartition) -> SetPartition:
     if not _is_range(src.ground):
         raise MalformedInput("source must partition {1..j}")
     j = len(src.ground)
-    blocks = _gather_low_singletons(src.blocks, j, [j + 1])
-    return SetPartition(j + 1, blocks)
+    return _gather_low_singletons(src.blocks, j, [j + 1])
 
 
 def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
@@ -270,8 +271,7 @@ def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
             "source has %d elements; expected %d or %d" % (size, j, j + 1)
         )
     larger = [j + 1, j + 2] if size == j else [j + 2]
-    blocks = _gather_low_singletons(src.blocks, j, larger)
-    return SetPartition(j + 2, blocks)
+    return _gather_low_singletons(src.blocks, j, larger)
 
 
 class ClassLabel(NamedTuple):

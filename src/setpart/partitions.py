@@ -250,8 +250,11 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
     of the first n - 1 elements are rebuilt only when that prefix changes,
     and the last element is placed into a copy of them.  In lexicographic
     order the prefix changes exactly when the last letter falls back to 1.
+
+    Like count_partitions, it refuses a ground larger than
+    ENUMERATION_CEILING.
     """
-    g = _ground(ground)
+    g = _walkable_ground(ground)
     head, last = g[:-1], g[-1:]
     make = SetPartition._trusted
     for word in _kernels.iter_rgs(len(g)):
@@ -270,9 +273,17 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
 
 def count_partitions(ground) -> int:
     """Count partitions of the ground set by walking every growth word."""
-    # a size meets the ceiling before {1..n} is built
-    size = ground if _is_int(ground) and ground >= 0 else len(_ground(ground))
-    return _kernels.count_rgs(_index(size, ceiling=ENUMERATION_CEILING))
+    return _kernels.count_rgs(len(_walkable_ground(ground)))
+
+
+def _walkable_ground(ground) -> tuple:
+    """The ground as _ground reads it, once its size is within
+    ENUMERATION_CEILING; a size meets the ceiling before {1..n} is built."""
+    if _is_int(ground) and ground >= 0:
+        _index(ground, ceiling=ENUMERATION_CEILING)
+    g = _ground(ground)
+    _index(len(g), ceiling=ENUMERATION_CEILING)
+    return g
 
 
 def to_rgs(p: SetPartition) -> RGS:

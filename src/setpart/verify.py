@@ -3,10 +3,10 @@
 Each identity id names a family of checks over a parameter grid.  A sweep
 produces one cell per parameter point; the report lists the cells in
 planned order with the same outcomes however they were scheduled.  A
-parallel sweep hands the cells to its workers one per task in reverse
-planned order, largest n first, so the heaviest cells do not queue up
-behind each other at the end (Graham's LPT rule); each cell records its
-own elapsed time.
+parallel sweep hands the cells to forked helper processes one at a time
+in reverse planned order, largest n first, so the heaviest cells do not
+queue up behind each other at the end (Graham's LPT rule); each cell
+records its own elapsed time.
 
 Each identity is declared once, in the _IDENTITIES table at the end of
 the module: its checker, its grid, its default depth and its ceilings.
@@ -18,11 +18,10 @@ returns a counterexample (or None) for the halves it is asked to run.
 
 from __future__ import annotations
 
+import marshal
 import os
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import involutions, noncrossing, numbers, partitions
@@ -46,13 +45,36 @@ class _Identity(NamedTuple):
     enumerative_ceiling: int
 
 
-@dataclass
 class CellResult:
-    params: dict
-    ok: bool
-    counterexample: Optional[dict] = None
-    # timing differs between runs, so it takes no part in equality
-    elapsed_s: float = field(default=0.0, compare=False)
+    """The outcome of one cell: its parameters, whether it passed, the
+    first counterexample when it did not, and its elapsed time.  Like the
+    report, it defines equality and so is unhashable."""
+
+    def __init__(
+        self,
+        params: dict,
+        ok: bool,
+        counterexample: Optional[dict] = None,
+        elapsed_s: float = 0.0,
+    ):
+        self.params = params
+        self.ok = ok
+        self.counterexample = counterexample
+        self.elapsed_s = elapsed_s
+
+    def __eq__(self, other):
+        # timing differs between runs, so it takes no part in equality
+        if type(other) is not CellResult:
+            return NotImplemented
+        return (self.params, self.ok, self.counterexample) == (
+            other.params,
+            other.ok,
+            other.counterexample,
+        )
+
+    def __repr__(self):
+        fields = (self.params, self.ok, self.counterexample, self.elapsed_s)
+        return "CellResult(%r, %r, %r, %r)" % fields
 
     def to_jsonable(self):
         return {
@@ -63,14 +85,32 @@ class CellResult:
         }
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    mode: str
-    max_n: int
-    seed: int
-    cells: list = field(default_factory=list)
-    elapsed: float = 0.0
+    """One sweep: its identity, mode, depth and seed, its cells in planned
+    order, and its elapsed time."""
+
+    def __init__(
+        self,
+        identity: str,
+        mode: str,
+        max_n: int,
+        seed: int,
+        cells: Optional[list] = None,
+        elapsed: float = 0.0,
+    ):
+        self.identity = identity
+        self.mode = mode
+        self.max_n = max_n
+        self.seed = seed
+        self.cells = [] if cells is None else cells
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        # as for a cell, the elapsed time takes no part in equality
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        fields = ("identity", "mode", "max_n", "seed", "cells")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
     @property
     def passed(self) -> bool:
@@ -186,10 +226,12 @@ def run_identity(
 ) -> VerificationReport:
     """Sweep one identity over its grid and collect the report.
 
-    With jobs > 1 the cells run in worker processes, at most one per CPU
-    and one per cell.  The workers take one cell per task, in reverse
-    planned order (largest n first); the report order is the planned
-    order either way.
+    With jobs > 1, where os.fork exists, the cells run in forked helper
+    processes, at most one per CPU and one per cell, while this process
+    runs none.  The helpers take one cell at a time, in reverse planned
+    order (largest n first); the report order is the planned order
+    either way.  A cell whose helper was killed or exited non-zero before
+    reporting it fails, with the helper's exit as its counterexample.
     """
     _index(jobs, "jobs", low=1)
     if max_n is None:
@@ -198,14 +240,25 @@ def run_identity(
     cells = plan_cells(identity, max_n, mode)
     report = VerificationReport(identity, mode, max_n, seed)
     width = min(jobs, os.cpu_count() or 1, len(cells))
-    if width > 1:
+    if width > 1 and hasattr(os, "fork"):
+
+        def task(i):
+            done = check_cell(identity, mode, seed, cells[i])
+            return done.ok, done.counterexample, done.elapsed_s
+
         # plan_cells lists every grid by increasing n and a cell's work
-        # grows several-fold per step of n, so the reversed list hands
+        # grows several-fold per step of n, so the reversed order hands
         # out the largest cells first
-        tasks = [(identity, mode, seed, c) for c in reversed(cells)]
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            results = list(pool.map(_check_cell_star, tasks))
-        results.reverse()
+        done, exits = _fork_map(task, range(len(cells) - 1, -1, -1), width)
+        lost = {
+            "error": "HelperFailed",
+            "message": "the helper process running this cell %s before reporting it"
+            % " or ".join(dict.fromkeys(exits)),
+        }
+        results = [
+            CellResult(c, *done[i]) if i in done else CellResult(c, False, lost)
+            for i, c in enumerate(cells)
+        ]
     else:
         results = [check_cell(identity, mode, seed, c) for c in cells]
     report.cells = results
@@ -213,8 +266,80 @@ def run_identity(
     return report
 
 
-def _check_cell_star(args):
-    return check_cell(*args)
+# one task index, as the caller writes it and a helper reads it
+_RECORD = 4
+
+
+def _fork_map(task, order, width):
+    """task(i) for each index i in order, run by width forked helpers.
+
+    The caller writes the indices into one pipe as fixed-size records
+    before any helper starts, and runs no task itself.  Each helper reads
+    one index at a time, so the indices are taken in the given order, and
+    once the pipe is empty it writes its (i, task(i)) pairs to a pipe of
+    its own with marshal, so each result must be plain data (the
+    JSON-able fields of a cell are).  A helper leaves by os._exit: it runs
+    no atexit handler and flushes no stdio.  Forking copies only the
+    calling thread, so no other thread of the caller may hold a lock that
+    a task takes; setpart starts no threads.
+
+    Returns the results by index and a description of each helper that
+    was killed or exited non-zero; the indices such a helper took have no
+    result.  Every helper is reaped before this returns or raises.
+    """
+    tasks, feed = os.pipe()
+    try:
+        # the largest plan (861 cells, thm1 at 40) fills a small part of
+        # one pipe buffer, so this write does not block
+        os.write(feed, b"".join(i.to_bytes(_RECORD, "little") for i in order))
+    finally:
+        os.close(feed)
+    helpers = {}  # pid: read end of its result pipe
+    done, exits = {}, []
+    finished = False
+    try:
+        for _ in range(width):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(out)
+                os.close(into)
+                raise
+            if pid == 0:  # the helper
+                status = 1
+                try:
+                    pairs = []
+                    for record in iter(lambda: os.read(tasks, _RECORD), b""):
+                        i = int.from_bytes(record, "little")
+                        pairs.append((i, task(i)))
+                    with open(into, "wb") as pipe:
+                        pipe.write(marshal.dumps(pairs))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(into)
+            helpers[pid] = out
+        for out in helpers.values():
+            with open(out, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                done.update(marshal.loads(data))
+            except (EOFError, ValueError):
+                pass  # cut short: the helper's exit status says why
+        finished = True
+    finally:
+        os.close(tasks)
+        for pid, out in helpers.items():
+            os.close(out)
+            if not finished:
+                os.kill(pid, 9)  # SIGKILL: no one will read its results
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code < 0:
+                exits.append("was killed by signal %d" % -code)
+            elif code:
+                exits.append("exited with status %d" % code)
+    return done, exits
 
 
 def _pair_failure(reason, lam) -> dict:

@@ -4,6 +4,7 @@ before any work is done.  Anything else raises MalformedInput, and -1
 raises an IndexOutOfRange (a NegativeIndex where the rule applies)."""
 
 import inspect
+import time
 
 import pytest
 
@@ -49,7 +50,7 @@ from setpart.involutions import (
     weighted_carrier_sum,
 )
 from setpart.numbers import NUMBERS_CEILING
-from setpart.partitions import _ground
+from setpart.partitions import ENUMERATION_CEILING, _ground
 
 P = SetPartition.from_text
 
@@ -205,6 +206,27 @@ def test_sequences_stop_at_their_ceiling(fn):
     assert fn(NUMBERS_CEILING) > 0
     with pytest.raises(SizeTooLarge):
         fn(NUMBERS_CEILING + 1)
+
+
+# a walk over every growth word refuses a ground past its ceiling before
+# it builds the ground or the word; count_partitions at the ceiling itself
+# walks 27,644,437 words, so only the enumeration's first step runs there
+@pytest.mark.parametrize(
+    "walk",
+    [
+        pytest.param(count_partitions, id="count_partitions"),
+        pytest.param(lambda g: next(enumerate_partitions(g)), id="enumerate_partitions"),
+    ],
+)
+def test_partition_walks_stop_at_their_ceiling(walk):
+    if walk is not count_partitions:
+        assert len(walk(ENUMERATION_CEILING).ground) == ENUMERATION_CEILING
+    top = ENUMERATION_CEILING + 1
+    for ground in (top, 3 * 10**6, 10**12, range(1, top + 1)):
+        start = time.perf_counter()
+        with pytest.raises(SizeTooLarge, match="^n is capped at %d$" % (top - 1)):
+            walk(ground)
+        assert time.perf_counter() - start < 0.1
 
 
 # each identity side is capped by the largest sequence index it reads, so

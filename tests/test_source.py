@@ -1,7 +1,11 @@
 """Checks on the library's source text."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import setpart
@@ -59,6 +63,34 @@ def test_errors_alone_decides_what_an_integer_is():
                 if "bool" in map(name, kinds):
                     found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# stdlib packages whose import costs a command's start-up more than the
+# command uses of them
+HEAVY_IMPORTS = ("concurrent", "multiprocessing", "dataclasses", "inspect", "logging")
+
+
+def test_start_up_loads_no_heavy_module():
+    snippet = (
+        "import json, sys\n"
+        "import setpart\n"
+        "from setpart import cli\n"
+        "cli.build_parser()\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", snippet],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = json.loads(done.stdout)
+    assert "setpart.verify" in loaded
+    heavy = [m for m in loaded if m.split(".")[0] in HEAVY_IMPORTS]
+    assert heavy == []
 
 
 def test_readme_token_table_lists_every_identity():

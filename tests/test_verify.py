@@ -1,5 +1,8 @@
+import itertools
 import json
 import os
+import signal
+import time
 
 import pytest
 
@@ -23,6 +26,14 @@ SMALL_DEPTH = {
     "psi": 5,
     "bijections": 6,
 }
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_behind():
+    yield
+    # every helper a sweep forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestPlanning:
@@ -127,7 +138,7 @@ class TestRunIdentity:
     def test_parallel_run_matches_serial(self, identity, max_n):
         serial = verify.run_identity(identity, max_n=max_n, jobs=1)
         parallel = verify.run_identity(identity, max_n=max_n, jobs=2)
-        assert serial.cells == parallel.cells
+        assert serial == parallel
         assert [c.params for c in parallel.cells] == verify.plan_cells(
             identity, max_n, "both"
         )
@@ -137,22 +148,13 @@ class TestRunIdentity:
         widths = []
         handed = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
+        def serial_runner(task, order, width):
+            # the runner's contract, without forking: each index in order
+            widths.append(width)
+            handed.append(list(order))
+            return {i: task(i) for i in handed[-1]}, []
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                items = list(items)
-                handed.append((chunksize, [args[3] for args in items]))
-                return map(fn, items)
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify, "_fork_map", serial_runner)
         serial = verify.run_identity("involution", max_n=4, jobs=1)
         cells = len(serial.cells)
         wide = verify.run_identity("involution", max_n=4, jobs=10_000)
@@ -164,10 +166,14 @@ class TestRunIdentity:
         wide = verify.run_identity("involution", max_n=4, jobs=10_000)
         assert widths == [3]
         assert wide.cells == serial.cells
-        # one cell per task, largest (last planned) first; report in plan order
+        # one cell per index, largest (last planned) first; report in
+        # plan order
         planned = verify.plan_cells("involution", 4, "both")
-        assert handed == [(1, planned[::-1])]
+        assert handed == [list(range(len(planned)))[::-1]]
         assert [c.params for c in wide.cells] == planned
+        widths.clear()
+        assert verify.run_identity("involution", max_n=4, jobs=2).cells == serial.cells
+        assert widths == [2]
         widths.clear()
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         wide = verify.run_identity("involution", max_n=4, jobs=10_000)
@@ -185,6 +191,132 @@ class TestRunIdentity:
             assert set(cell) == {"params", "ok", "counterexample", "elapsed_s"}
             assert isinstance(cell["elapsed_s"], float)
             assert cell["elapsed_s"] >= 0
+        with pytest.raises(TypeError):  # results compare equal but do not hash
+            hash(report.cells[0])
+
+
+class TestForkRunner:
+    """verify._fork_map, the runner behind jobs > 1, and what a sweep
+    reports when one of its helpers dies."""
+
+    def test_helpers_take_one_index_at_a_time_in_the_given_order(self):
+        taken = itertools.count()  # each helper counts its own takes
+
+        def task(i):
+            return os.getpid(), next(taken)
+
+        order = list(range(20))[::-1]
+        done, exits = verify._fork_map(task, order, 3)
+        assert exits == []
+        assert sorted(done) == sorted(order)
+        by_helper = {}
+        for i, (pid, seq) in done.items():
+            by_helper.setdefault(pid, []).append((seq, i))
+        assert os.getpid() not in by_helper  # the caller runs no task
+        assert 1 <= len(by_helper) <= 3
+        for takes in by_helper.values():
+            indices = [i for _, i in sorted(takes)]
+            assert [seq for seq, _ in sorted(takes)] == list(range(len(takes)))
+            assert indices == sorted(indices, reverse=True)
+
+    @pytest.mark.parametrize(
+        "die, exit_text",
+        [
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+            (lambda: os._exit(3), "exited with status 3"),
+        ],
+        ids=["killed", "exit-3"],
+    )
+    def test_a_dead_helper_loses_only_its_own_indices(self, die, exit_text):
+        caller = os.getpid()
+
+        def task(i):
+            if i == 3 and os.getpid() != caller:
+                die()
+            return os.getpid()
+
+        done, exits = verify._fork_map(task, range(9, -1, -1), 2)
+        assert exits == [exit_text]
+        lost = set(range(10)) - set(done)
+        # the dead helper took 3 and perhaps some larger indices before it
+        assert 3 in lost and lost <= set(range(3, 10))
+        assert {0, 1, 2} <= set(done)
+        assert len(set(done.values())) == 1  # every result is the survivor's
+
+    def test_a_failed_fork_stops_and_reaps_the_helpers_already_started(
+        self, monkeypatch
+    ):
+        forks = []
+
+        def fork():
+            if forks:
+                raise OSError("no more processes")
+            forks.append(real_fork())
+            return forks[-1]
+
+        real_fork = os.fork
+        monkeypatch.setattr(verify.os, "fork", fork)
+        start = time.perf_counter()
+        with pytest.raises(OSError, match="no more processes"):
+            # the first helper would sleep for 30 s unless it is killed
+            verify._fork_map(lambda i: time.sleep(30), range(3), 2)
+        assert time.perf_counter() - start < 10
+        assert len(forks) == 1
+
+    def test_killed_helper_fails_only_its_unreported_cells(self, monkeypatch):
+        caller = os.getpid()
+        orig = numbers_mod.catalan
+
+        def catalan(n):
+            if n == 4 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return orig(n)
+
+        monkeypatch.setattr(numbers_mod, "catalan", catalan)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        report = verify.run_identity("nc-catalan", max_n=6, jobs=2)
+        assert [c.params for c in report.cells] == verify.plan_cells(
+            "nc-catalan", 6, "both"
+        )
+        bad = [c.params["n"] for c in report.failures()]
+        # cells go out 6, 5, 4, ...: the killed helper held 4 and perhaps
+        # 5 or 6, and the survivor ran the rest
+        assert 4 in bad and set(bad) <= {4, 5, 6}
+        for c in report.failures():
+            assert c.counterexample == {
+                "error": "HelperFailed",
+                "message": "the helper process running this cell was killed "
+                "by signal 9 before reporting it",
+            }
+        assert all(c.ok for c in report.cells if c.params["n"] < 4)
+
+    def test_without_fork_the_sweep_runs_serially(self, monkeypatch):
+        serial = verify.run_identity("psi", max_n=4, jobs=1)
+        runs = []
+        monkeypatch.setattr(verify, "_fork_map", lambda *args: runs.append(args))
+        monkeypatch.delattr(verify.os, "fork")
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        assert verify.run_identity("psi", max_n=4, jobs=2) == serial
+        assert runs == []
+
+    def test_the_largest_plan_fits_one_pipe_write(self):
+        # the caller writes every index before any helper reads one, so
+        # the write must fit the smallest pipe buffer Linux gives, a page
+        largest = max(
+            len(verify.plan_cells(token, verify._ceiling(token, mode), mode))
+            for token in verify.IDENTITIES
+            for mode in verify.MODES
+        )
+        assert largest == 861  # thm1 at 40
+        assert largest * verify._RECORD <= 4096
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_times_lie_within_the_sweep_time(self, monkeypatch, jobs):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        report = verify.run_identity("bijections", max_n=6, jobs=jobs)
+        assert report.passed
+        assert all(0 <= c.elapsed_s <= report.elapsed for c in report.cells)
+        assert report.to_jsonable()["cells"][-1]["elapsed_s"] > 0
 
 
 class TestModePolicy:
@@ -350,6 +482,43 @@ class TestFalsifiedOracle:
             "T": [],
             "rho": [[1]],
         }
+
+    @staticmethod
+    def doubling(orig, size):
+        """orig, except that an image of {1..size} also holds its largest
+        element as a singleton: one element in two blocks."""
+
+        def coding(*args):
+            out = orig(*args)
+            if len(out.ground) != size:
+                return out
+            return SetPartition._trusted(out.ground, out.blocks + ((size,),))
+
+        return coding
+
+    def test_coding_with_an_element_in_two_blocks_is_caught(self, monkeypatch):
+        # the coding maps build their images unchecked, so the sweep's
+        # own checks must see a malformed one
+        monkeypatch.setattr(
+            involutions,
+            "build_singleton_free",
+            self.doubling(involutions.build_singleton_free, 4),
+        )
+        report = verify.run_identity("psi", max_n=4)
+        assert self.failing(report) == [
+            ({"n": 3, "j": j}, "round trip failed") for j in range(4)
+        ]
+        # the same failures from forked helpers
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        assert verify.run_identity("psi", max_n=4, jobs=2) == report
+        monkeypatch.setattr(
+            involutions,
+            "gather_singletons_two",
+            self.doubling(involutions.gather_singletons_two, 4),
+        )
+        report = verify.run_identity("cor3", max_n=4, mode="enumerative")
+        assert self.failing(report) == [({"j": 2}, "image mismatch")]
+        assert report.failures()[0].counterexample["extra"][-2:] == [[4], [4]]
 
     def test_partner_without_sign_flip_is_caught(self, monkeypatch):
         orig = involutions.partner
