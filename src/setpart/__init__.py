@@ -50,7 +50,6 @@ from .bellpoly import (
     partial_bell,
 )
 from .involutions import (
-    FIXED,
     SignedPair,
     build_singleton_free,
     classify_cd,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BellPolynomial",
     "ElementNotInGround",
-    "FIXED",
     "IDENTITIES",
     "IndexOutOfRange",
     "InvalidRGS",

@@ -104,6 +104,10 @@ def main(argv=None) -> int:
 
 
 def entry():
+    import signal  # not at the top: main() also runs inside other programs
+
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 
@@ -194,10 +198,7 @@ def _cmd_trace(args) -> int:
     if args.full:
         for lam in involutions.enumerate_carrier(args.n, args.j):
             image = involutions.partner(lam)
-            if image is involutions.FIXED:
-                shown = "FIXED"
-            else:
-                shown = "(%s; %s)" % _pair_fields(image)[1:]
+            shown = "FIXED" if image is None else "(%s; %s)" % _pair_fields(image)[1:]
             print(" | ".join(_pair_fields(lam) + (shown,)))
         return 0
     if args.pi is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from itertools import filterfalse
-from typing import Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .bellpoly import (
     BellPolynomial,
@@ -32,23 +32,6 @@ from .partitions import SetPartition, _is_range, enumerate_partitions
 
 CARRIER_CEILING = 10
 SYMBOLIC_CEILING = 7
-
-
-class FixedPoint:
-    """Sentinel returned by the involution on its fixed set."""
-
-    _only = None
-
-    def __new__(cls):
-        if cls._only is None:
-            cls._only = super().__new__(cls)
-        return cls._only
-
-    def __repr__(self):
-        return "FIXED"
-
-
-FIXED = FixedPoint()
 
 
 class SignedPair:
@@ -111,17 +94,17 @@ class SignedPair:
         )
 
 
-def partner(lam: SignedPair) -> Union[SignedPair, FixedPoint]:
+def partner(lam: SignedPair) -> Optional[SignedPair]:
     """Toggle the largest element of {1..j} that is marked or a singleton.
 
     If the element is marked, it moves into the partition as a new
     singleton block; if it is a singleton block, it becomes marked.  Either
     way the sign flips.  When no element qualifies, the pair is fixed and
-    the FIXED sentinel is returned.
+    partner returns None, as pivot_of does.
     """
     pivot = pivot_of(lam)
     if pivot is None:
-        return FIXED
+        return None
     ground = lam.pi.ground
     blocks = lam.pi.blocks
     # both tuples ascend (blocks by least element), and the pivot is

@@ -7,7 +7,6 @@ so that comparing them is a real check and not a tautology.
 """
 
 import math
-import threading
 
 from .errors import (
     IndexOutOfRange,
@@ -36,9 +35,9 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-_bell_cache = [1, 1]
-_bell_row = [1]  # the last triangle row; it ends with _bell_cache[-1]
-_bell_lock = threading.Lock()
+# (the Bell numbers so far, the last triangle row), replaced whole: no
+# thread or fork sees the two out of step, and a race only repeats work
+_bell_state = ([1, 1], [1])
 
 
 def bell(n: int) -> int:
@@ -49,15 +48,15 @@ def bell(n: int) -> int:
     neighbours, and the row's last entry is the next value.
     """
     _index(n, ceiling=NUMBERS_CEILING)
-    global _bell_row
-    with _bell_lock:
-        while len(_bell_cache) <= n:
-            row = [_bell_row[-1]]
-            for entry in _bell_row:
-                row.append(row[-1] + entry)
-            _bell_row = row
-            _bell_cache.append(row[-1])
-        return _bell_cache[n]
+    global _bell_state
+    values, row = _bell_state
+    while len(values) <= n:
+        prev, row = row, [row[-1]]
+        for entry in prev:
+            row.append(row[-1] + entry)
+        values = values + [row[-1]]
+        _bell_state = values, row
+    return values[n]
 
 
 def catalan(n: int) -> int:

@@ -46,35 +46,34 @@ class _Identity(NamedTuple):
 
 
 class CellResult:
-    """The outcome of one cell: its parameters, whether it passed, the
-    first counterexample when it did not, and its elapsed time.  Like the
-    report, it defines equality and so is unhashable."""
+    """One cell's parameters, first counterexample (None if it passed) and
+    elapsed time.  It defines equality, so like the report it is unhashable."""
 
     def __init__(
         self,
         params: dict,
-        ok: bool,
         counterexample: Optional[dict] = None,
         elapsed_s: float = 0.0,
     ):
         self.params = params
-        self.ok = ok
         self.counterexample = counterexample
         self.elapsed_s = elapsed_s
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
     def __eq__(self, other):
         # timing differs between runs, so it takes no part in equality
         if type(other) is not CellResult:
             return NotImplemented
-        return (self.params, self.ok, self.counterexample) == (
-            other.params,
-            other.ok,
-            other.counterexample,
+        return (self.params, self.counterexample) == (
+            other.params, other.counterexample
         )
 
     def __repr__(self):
-        fields = (self.params, self.ok, self.counterexample, self.elapsed_s)
-        return "CellResult(%r, %r, %r, %r)" % fields
+        fields = (self.params, self.counterexample, self.elapsed_s)
+        return "CellResult(%r, %r, %r)" % fields
 
     def to_jsonable(self):
         return {
@@ -95,14 +94,14 @@ class VerificationReport:
         mode: str,
         max_n: int,
         seed: int,
-        cells: Optional[list] = None,
-        elapsed: float = 0.0,
+        cells: list,
+        elapsed: float,
     ):
         self.identity = identity
         self.mode = mode
         self.max_n = max_n
         self.seed = seed
-        self.cells = [] if cells is None else cells
+        self.cells = cells
         self.elapsed = elapsed
 
     def __eq__(self, other):
@@ -201,7 +200,7 @@ def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
     the cell's elapsed time.  The seed is the sweep's, which no cell
     reads today.
     """
-    entry = _IDENTITIES[identity]
+    entry = _entry(identity, mode)
     start = time.perf_counter()
     try:
         if entry.closed_ceiling:
@@ -214,7 +213,7 @@ def check_cell(identity: str, mode: str, seed: int, cell: dict) -> CellResult:
         found = entry.checker(cell, closed, sweep)
     except Exception as err:
         found = {"error": type(err).__name__, "message": str(err)}
-    return CellResult(cell, found is None, found, time.perf_counter() - start)
+    return CellResult(cell, found, time.perf_counter() - start)
 
 
 def run_identity(
@@ -238,32 +237,27 @@ def run_identity(
         max_n = default_max_n(identity, mode)
     start = time.perf_counter()
     cells = plan_cells(identity, max_n, mode)
-    report = VerificationReport(identity, mode, max_n, seed)
+
+    def task(i):
+        done = check_cell(identity, mode, seed, cells[i])
+        return done.counterexample, done.elapsed_s
+
     width = min(jobs, os.cpu_count() or 1, len(cells))
     if width > 1 and hasattr(os, "fork"):
-
-        def task(i):
-            done = check_cell(identity, mode, seed, cells[i])
-            return done.ok, done.counterexample, done.elapsed_s
-
         # plan_cells lists every grid by increasing n and a cell's work
         # grows several-fold per step of n, so the reversed order hands
         # out the largest cells first
         done, exits = _fork_map(task, range(len(cells) - 1, -1, -1), width)
-        lost = {
-            "error": "HelperFailed",
-            "message": "the helper process running this cell %s before reporting it"
-            % " or ".join(dict.fromkeys(exits)),
-        }
-        results = [
-            CellResult(c, *done[i]) if i in done else CellResult(c, False, lost)
-            for i, c in enumerate(cells)
-        ]
     else:
-        results = [check_cell(identity, mode, seed, c) for c in cells]
-    report.cells = results
-    report.elapsed = time.perf_counter() - start
-    return report
+        done, exits = {i: task(i) for i in range(len(cells))}, []
+    lost = {
+        "error": "HelperFailed",
+        "message": "the helper process running this cell %s before reporting it"
+        % " or ".join(dict.fromkeys(exits)),
+    }
+    results = [CellResult(c, *done.get(i, (lost,))) for i, c in enumerate(cells)]
+    elapsed = time.perf_counter() - start
+    return VerificationReport(identity, mode, max_n, seed, results, elapsed)
 
 
 # one task index, as the caller writes it and a helper reads it
@@ -281,7 +275,7 @@ def _fork_map(task, order, width):
     JSON-able fields of a cell are).  A helper leaves by os._exit: it runs
     no atexit handler and flushes no stdio.  Forking copies only the
     calling thread, so no other thread of the caller may hold a lock that
-    a task takes; setpart starts no threads.
+    a task takes; setpart takes no locks and starts no threads.
 
     Returns the results by index and a description of each helper that
     was killed or exited non-zero; the indices such a helper took have no
@@ -363,7 +357,7 @@ def _check_thm1(cell, closed, sweep):
 
 def _check_involution(cell, closed, sweep):
     n, j = cell["n"], cell["j"]
-    partner, FIXED = involutions.partner, involutions.FIXED
+    partner = involutions.partner
     signed = 0
     fixed = 0
     for lam in involutions.enumerate_carrier(n, j):
@@ -371,7 +365,7 @@ def _check_involution(cell, closed, sweep):
         odd = len(lam.S) & 1
         signed += -1 if odd else 1
         image = partner(lam)
-        if image is FIXED:
+        if image is None:
             fixed += 1
             if lam.S or any(len(b) == 1 and b[0] <= j for b in lam.pi.blocks):
                 return _pair_failure("false fixed point", lam)
@@ -517,8 +511,10 @@ def _check_thm2(cell, closed, sweep):
         return {"lhs": lhs.to_text(), "rhs": rhs.to_text()}
     if sweep:
         carrier = involutions.weighted_carrier_sum(n, j)
-        if carrier != lhs or carrier != rhs:
+        if carrier != lhs:
             return {"carrier": carrier.to_text(), "lhs": lhs.to_text()}
+        if carrier != rhs:
+            return {"carrier": carrier.to_text(), "rhs": rhs.to_text()}
     return None
 
 

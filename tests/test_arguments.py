@@ -138,7 +138,6 @@ NO_INTEGER_ARGUMENTS = {
     "SetpartError",
     "SizeTooLarge",
     "WeightVectorTooShort",
-    "FIXED",
     "IDENTITIES",
     "__version__",
     "RGS",

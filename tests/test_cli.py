@@ -523,6 +523,31 @@ class TestModuleEntry:
         )
         assert bad.returncode == 2, bad.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["numbers", "bell", "--max-n", "1000"],
+            ["verify", "nc-firstj", "--max-n", "12", "--format", "json"],
+        ],
+        ids=["numbers", "verify"],
+    )
+    def test_closed_stdout_is_no_failure(self, argv):
+        # as under `| head -c 10`: the reader leaves before the output ends
+        import_root = Path(setpart.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(import_root))
+        with subprocess.Popen(
+            [sys.executable, "-m", "setpart"] + argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert "Traceback" not in err
+        assert code != 1  # 1 says a verification failed
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

@@ -14,7 +14,6 @@ from setpart.errors import (
     SizeTooLarge,
 )
 from setpart.involutions import (
-    FIXED,
     SignedPair,
     build_singleton_free,
     classify_cd,
@@ -124,7 +123,7 @@ class TestWorkedExample:
             3, 2, frozenset(), SetPartition.from_text("1,2/3,4")
         )
         assert pivot_of(lam) is None
-        assert partner(lam) is FIXED
+        assert partner(lam) is None
 
 
 class TestCarrier:
@@ -159,7 +158,7 @@ class TestInvolution:
             for lam in enumerate_carrier(n, j):
                 signed += lam.sign
                 out = partner(lam)
-                if out is FIXED:
+                if out is None:
                     fixed += 1
                     assert is_fixed_shape(lam)
                     assert pivot_of(lam) is None
@@ -172,10 +171,16 @@ class TestInvolution:
             assert fixed == want
             assert signed == numbers.bell_alternating_sum(n, j)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_partner_is_none_exactly_where_pivot_of_is(self, n):
+        for j in range(n + 1):
+            for lam in enumerate_carrier(n, j):
+                assert (partner(lam) is None) == (pivot_of(lam) is None)
+
     @given(carrier_pairs())
     def test_partner_is_involutive(self, lam):
         out = partner(lam)
-        if out is FIXED:
+        if out is None:
             assert pivot_of(lam) is None
         else:
             assert partner(out) == lam
@@ -184,7 +189,7 @@ class TestInvolution:
     @given(carrier_pairs())
     def test_partner_preserves_weight(self, lam):
         out = partner(lam)
-        if out is not FIXED:
+        if out is not None:
             assert weight_monomial(out) == weight_monomial(lam)
 
     @pytest.mark.parametrize("n", range(7))
@@ -196,7 +201,7 @@ class TestInvolution:
                 want = oracles.partner_by_definition(n, j, lam.S, lam.pi.blocks)
                 out = partner(lam)
                 if want is None:
-                    assert out is FIXED
+                    assert out is None
                     continue
                 S, blocks, ground = want
                 assert (out.n, out.j) == (n, j)

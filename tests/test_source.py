@@ -93,6 +93,23 @@ def test_start_up_loads_no_heavy_module():
     assert heavy == []
 
 
+def test_no_module_imports_threading():
+    # the sweeps fork helpers, and a lock another thread holds at the
+    # fork stays held in the helper for good
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "threading" for name in names):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 def test_readme_token_table_lists_every_identity():
     # the table right after "`verify` identity tokens:" in the README
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")

@@ -2,6 +2,8 @@ import itertools
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -95,6 +97,11 @@ class TestPlanning:
             verify.plan_cells("thm1", 3, "sideways")
         with pytest.raises(IndexOutOfRange):
             verify.plan_cells("thm1", -1, "both")
+
+    @pytest.mark.parametrize("identity, mode", [("nope", "both"), ("thm1", "bogus")])
+    def test_check_cell_rejects_unknown_tokens(self, identity, mode):
+        with pytest.raises(IndexOutOfRange):
+            verify.check_cell(identity, mode, 0, {"n": 2, "j": 1})
 
     def test_depth_ceilings_enforced(self):
         with pytest.raises(SizeTooLarge):
@@ -310,6 +317,34 @@ class TestForkRunner:
         assert largest == 861  # thm1 at 40
         assert largest * verify._RECORD <= 4096
 
+    def test_a_fork_during_a_bell_computation_does_not_hang(self):
+        # another thread extends the Bell table while the sweep forks its
+        # helpers; a lock held across that fork is never released in the
+        # helpers, and then the alarm ends the sweep, whose runner kills
+        # and reaps them
+        snippet = (
+            "import signal, sys, threading\n"
+            "from setpart import numbers, verify\n"
+            "signal.signal(signal.SIGALRM, lambda *_: sys.exit('hung'))\n"
+            "signal.alarm(20)\n"
+            "verify.os.cpu_count = lambda: 2\n"
+            "cold = threading.Thread(target=numbers.bell, args=(1000,))\n"
+            "cold.start()\n"
+            "report = verify.run_identity('thm1', 12, 'closed-form', jobs=2)\n"
+            "cold.join()\n"
+            "print(report.passed, len(report.cells))\n"
+        )
+        import_root = os.path.dirname(os.path.dirname(verify.__file__))
+        env = dict(os.environ, PYTHONPATH=import_root)
+        done = subprocess.run(
+            [sys.executable, "-c", snippet],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "True 91\n"), done.stderr
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cell_times_lie_within_the_sweep_time(self, monkeypatch, jobs):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
@@ -520,12 +555,40 @@ class TestFalsifiedOracle:
         assert self.failing(report) == [({"j": 2}, "image mismatch")]
         assert report.failures()[0].counterexample["extra"][-2:] == [[4], [4]]
 
+    def test_class_overlap_is_checked_from_index_two(self, monkeypatch):
+        # at j = 4, 1,2/3/4 is the one member of D_2 and of C_1; its D_2
+        # label moves to 1/2,3,4, which has no label, so every class size
+        # and the top class stay as they were and only D_2 = C_1 fails
+        orig = involutions.classify_cd
+        member = SetPartition.from_text("1,2/3/4")
+        stranger = SetPartition.from_text("1/2,3,4")
+        d2 = involutions.ClassLabel("D", 2)
+        assert d2 in orig(member, 4) and orig(stranger, 4) == ()
+
+        def moved(p, j):
+            if j == 4 and p == member:
+                return tuple(label for label in orig(p, j) if label != d2)
+            if j == 4 and p == stranger:
+                return (d2,)
+            return orig(p, j)
+
+        monkeypatch.setattr(involutions, "classify_cd", moved)
+        want = {"reason": "class overlap identity fails", "index": 2}
+        report = verify.run_identity("cor4", max_n=5)
+        assert [(c.params, c.counterexample) for c in report.failures()] == [
+            ({"j": 4}, want)
+        ]
+        report = verify.run_identity("bijections", max_n=5)
+        assert [(c.params, c.counterexample) for c in report.failures()] == [
+            ({"j": 4, "part": "classes"}, want)
+        ]
+
     def test_partner_without_sign_flip_is_caught(self, monkeypatch):
         orig = involutions.partner
 
         def unsigned(lam):
             image = orig(lam)
-            return image if image is involutions.FIXED else lam
+            return image if image is None else lam
 
         monkeypatch.setattr(involutions, "partner", unsigned)
         report = verify.run_identity("involution", max_n=3)
@@ -544,7 +607,7 @@ class TestFalsifiedOracle:
 
         def lazy(lam):
             if (lam.n, lam.j) == (2, 1) and (lam.S, lam.pi.to_text()) in faked:
-                return involutions.FIXED
+                return None
             return orig(lam)
 
         monkeypatch.setattr(involutions, "partner", lazy)
@@ -562,7 +625,7 @@ class TestFalsifiedOracle:
         def leaky(lam):
             # right S and blocks, but a newly marked pivot stays in the ground
             image = orig(lam)
-            if image is involutions.FIXED or len(image.S) < len(lam.S):
+            if image is None or len(image.S) < len(lam.S):
                 return image
             pi = SetPartition._trusted(lam.pi.ground, image.pi.blocks)
             return involutions.SignedPair._trusted(lam.n, lam.j, image.S, pi)
@@ -593,6 +656,19 @@ class TestFalsifiedOracle:
             c for c in verify.plan_cells("thm2", 5, "enumerative") if c["n"] == 3
         ]
         assert all(set(c.counterexample) == {"carrier", "lhs"} for c in bad)
+
+    def test_thm2_sweep_names_the_side_that_disagrees(self, monkeypatch):
+        # the carrier equals lhs, so only the comparison with rhs can fail
+        orig = involutions.weighted_binomial_sum
+        t1 = BellPolynomial([(Monomial.single(1), 1)])
+        monkeypatch.setattr(
+            involutions, "weighted_binomial_sum", lambda n, j: orig(n, j) + t1
+        )
+        report = verify.run_identity("thm2", max_n=5, mode="enumerative")
+        assert len(report.failures()) == len(report.cells) == 21
+        for c in report.failures():
+            assert set(c.counterexample) == {"carrier", "rhs"}
+            assert c.counterexample["carrier"] != c.counterexample["rhs"]
 
     def test_thm2_broken_binomial_side_fails_every_cell(self, monkeypatch):
         orig = involutions.weighted_binomial_sum
