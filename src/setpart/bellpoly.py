@@ -25,7 +25,7 @@ from .errors import (
     _index,
     _is_int,
 )
-from .numbers import factorial
+from .numbers import NUMBERS_CEILING, factorial
 
 # the formula route builds p(n) monomials for Y_n; p(60) = 966,467
 POLY_CEILING = 60
@@ -37,10 +37,9 @@ class Monomial:
     __slots__ = ("pairs",)
 
     def __init__(self, exponents):
-        """exponents: mapping or iterable of (index, exponent) pairs."""
-        items = exponents.items() if hasattr(exponents, "items") else exponents
+        """exponents: iterable of (index, exponent) pairs."""
         merged = {}
-        for i, e in items:
+        for i, e in exponents:
             _index(i, "variable index", low=1)
             if _index(e, "exponent"):
                 merged[i] = merged.get(i, 0) + e
@@ -108,8 +107,7 @@ class BellPolynomial:
     def __init__(self, terms: Iterable = ()):
         """terms: iterable of (Monomial, int coefficient); duplicates merge."""
         acc = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for mono, coeff in items:
+        for mono, coeff in terms:
             if not isinstance(mono, Monomial):
                 raise MalformedInput("each term needs a Monomial, got %r" % (mono,))
             if not _is_int(coeff):
@@ -213,6 +211,11 @@ def _integer_weights(weights) -> tuple:
     return values
 
 
+def _weight_indices(m) -> range:
+    """1..m, once m is an int within NUMBERS_CEILING."""
+    return range(1, _index(m, "m", ceiling=NUMBERS_CEILING) + 1)
+
+
 class WeightVector:
     """Integer values for t_1..t_m, with the common specializations."""
 
@@ -223,23 +226,22 @@ class WeightVector:
 
     @classmethod
     def ones(cls, m: int) -> "WeightVector":
-        return cls([1] * _index(m, "m"))
+        return cls([1] * len(_weight_indices(m)))
 
     @classmethod
     def factorials(cls, m: int) -> "WeightVector":
         """t_i = i!; turns the polynomial sum into A000262."""
-        return cls([factorial(i) for i in range(1, _index(m, "m") + 1)])
+        return cls([factorial(i) for i in _weight_indices(m)])
 
     @classmethod
     def shifted_factorials(cls, m: int) -> "WeightVector":
         """t_i = (i-1)!; turns the polynomial sum into n!."""
-        return cls([factorial(i - 1) for i in range(1, _index(m, "m") + 1)])
+        return cls([factorial(i - 1) for i in _weight_indices(m)])
 
     @classmethod
     def derangement_pattern(cls, m: int) -> "WeightVector":
         """t_1 = 0 and t_i = (i-1)!; kills singletons, counts derangements."""
-        values = [0] + [factorial(i - 1) for i in range(2, _index(m, "m") + 1)]
-        return cls(values[:m])
+        return cls([factorial(i - 1) if i > 1 else 0 for i in _weight_indices(m)])
 
     def __len__(self):
         return len(self.values)
@@ -261,7 +263,7 @@ def _size_monomial(sizes, ones: int = 0) -> Monomial:
     counts = {1: ones}
     for size in sizes:
         counts[size] = counts.get(size, 0) + 1
-    return Monomial(counts)
+    return Monomial(counts.items())
 
 
 def _bell_terms(n: int, blocks=None) -> BellPolynomial:

@@ -20,6 +20,7 @@ from itertools import filterfalse
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .bellpoly import (
+    POLY_CEILING,
     BellPolynomial,
     Monomial,
     _combination,
@@ -317,8 +318,8 @@ def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
 
 def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
     """Sum over i of (-1)^i t_1^i binomial(j, i) B_{n+1-i}, where B_m is
-    the complete block-size polynomial."""
-    _index(j, "j", top=_index(n))
+    the complete block-size polynomial; n < POLY_CEILING, as B_{n+1} needs."""
+    _index(j, "j", top=_index(n, ceiling=POLY_CEILING - 1))
     return _combination(
         (
             complete_bell_by_sum(n + 1 - i),
@@ -336,7 +337,7 @@ def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
     of size k+l+1); the rest avoids singletons in the remaining j-l low
     elements by inclusion-exclusion over r marked ones.
     """
-    _index(j, "j", top=_index(n))
+    _index(j, "j", top=_index(n, ceiling=POLY_CEILING - 1))
     complete = [complete_bell_by_sum(m) for m in range(n + 1)]
     return _combination(
         (

@@ -45,11 +45,12 @@ def _read_integers(text: str, what: str) -> tuple:
 def _ground(source) -> tuple:
     """The ground set source names, ascending: {1..n} for an int n >= 0,
     else the elements of an iterable, each an int >= 1 (bool excluded),
-    none repeated."""
+    none repeated.  Either refuses a size past ENUMERATION_CEILING, an
+    int n before {1..n} is built."""
     if not hasattr(source, "__iter__"):
         if not _is_int(source) or source < 0:
             raise MalformedInput("ground size must be a nonnegative integer")
-        return tuple(range(1, source + 1))
+        source = range(1, _index(source, ceiling=ENUMERATION_CEILING) + 1)
     raw = tuple(source)
     for e in raw:  # before sorting, which mixed types would break
         if not _is_int(e) or e < 1:
@@ -58,6 +59,7 @@ def _ground(source) -> tuple:
     for a, b in zip(elems, elems[1:]):
         if a == b:
             raise MalformedInput("duplicate ground element %d" % (a,))
+    _index(len(elems), ceiling=ENUMERATION_CEILING)
     return elems
 
 
@@ -70,21 +72,15 @@ def _is_range(ground: tuple) -> bool:
 class SetPartition:
     """A partition of a ground set into disjoint nonempty blocks.
 
-    The ground is the ascending tuple of its elements.  Blocks are stored
-    sorted by smallest element, with each block's elements ascending, so
-    equal partitions compare equal structurally.
+    The ground is the ascending tuple of the blocks' elements.  Blocks are
+    stored sorted by smallest element, with each block's elements
+    ascending, so equal partitions compare equal structurally.
     """
 
     __slots__ = ("ground", "blocks")
 
-    def __init__(self, ground, blocks: Iterable[Iterable[int]]):
-        """ground: a size n, naming {1..n}, or an iterable as _ground reads
-        it; {1..n} is built only once the blocks are seen to cover it."""
-        if _is_int(ground) and ground >= 0:
-            g, size, members = None, ground, range(1, ground + 1)
-        else:
-            g = _ground(ground)
-            size, members = len(g), set(g)  # one set, so each test is O(1)
+    def __init__(self, blocks: Iterable[Iterable[int]]):
+        """Nonempty disjoint blocks of ints >= 1; the ground is their union."""
         norm = []
         seen = set()
         for block in blocks:
@@ -92,20 +88,16 @@ class SetPartition:
             if not b:
                 raise MalformedInput("blocks must be nonempty")
             for e in b:  # before sorting, which mixed types would break
-                if type(e) is not int:  # exact ints skip the calls
-                    if not _is_int(e):
-                        raise MalformedInput("element %r is not an integer" % (e,))
-                    e = int(e)  # a range scans for an int subclass
+                if type(e) is not int and not _is_int(e):  # exact ints skip the call
+                    raise MalformedInput("element %r is not an integer" % (e,))
+                if e < 1:
+                    raise MalformedInput("ground elements must be integers >= 1")
                 if e in seen:
                     raise MalformedInput("element %r appears in two blocks" % (e,))
-                if e not in members:
-                    raise MalformedInput("element %r not in the ground set" % (e,))
                 seen.add(e)
             norm.append(tuple(sorted(b)))
-        if len(seen) != size:
-            raise MalformedInput("blocks do not cover the ground set")
         norm.sort()  # disjoint blocks: tuple order is least-element order
-        self.ground = tuple(members) if g is None else g
+        self.ground = tuple(sorted(seen))
         self.blocks = tuple(norm)
 
     @classmethod
@@ -117,18 +109,11 @@ class SetPartition:
         return p
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        """Build a partition whose ground set is the union of the blocks."""
-        mat = [tuple(b) for b in blocks]  # the constructor sorts them
-        union = [e for b in mat for e in b]
-        return cls(union, mat)
-
-    @classmethod
     def from_text(cls, text: str) -> "SetPartition":
         """Parse "2/4,5/6,8,9/7" notation: blocks '/', elements ',', each
         block read by _read_integers; blank text is the empty partition."""
         blocks = [_read_integers(part, "block") for part in text.split("/")]
-        return cls.from_blocks([] if blocks == [()] else blocks)
+        return cls([] if blocks == [()] else blocks)
 
     def to_text(self) -> str:
         return "/".join(",".join(str(e) for e in b) for b in self.blocks)
@@ -148,14 +133,11 @@ class SetPartition:
 
     def __eq__(self, other):
         if isinstance(other, SetPartition):
-            return (
-                self.blocks == other.blocks
-                and self.ground == other.ground
-            )
+            return self.blocks == other.blocks and self.ground == other.ground
         return NotImplemented
 
     def __hash__(self):
-        # valid blocks cover the ground, so they alone determine it
+        # the ground is the union of the blocks, so they alone determine it
         return hash(self.blocks)
 
     def __repr__(self):
@@ -254,7 +236,7 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
     Like count_partitions, it refuses a ground larger than
     ENUMERATION_CEILING.
     """
-    g = _walkable_ground(ground)
+    g = _ground(ground)
     head, last = g[:-1], g[-1:]
     make = SetPartition._trusted
     for word in _kernels.iter_rgs(len(g)):
@@ -273,17 +255,7 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
 
 def count_partitions(ground) -> int:
     """Count partitions of the ground set by walking every growth word."""
-    return _kernels.count_rgs(len(_walkable_ground(ground)))
-
-
-def _walkable_ground(ground) -> tuple:
-    """The ground as _ground reads it, once its size is within
-    ENUMERATION_CEILING; a size meets the ceiling before {1..n} is built."""
-    if _is_int(ground) and ground >= 0:
-        _index(ground, ceiling=ENUMERATION_CEILING)
-    g = _ground(ground)
-    _index(len(g), ceiling=ENUMERATION_CEILING)
-    return g
+    return _kernels.count_rgs(len(_ground(ground)))
 
 
 def to_rgs(p: SetPartition) -> RGS:

@@ -43,6 +43,7 @@ from setpart import (
     split_singleton_free,
     verify,
 )
+from setpart.bellpoly import POLY_CEILING
 from setpart.errors import IndexOutOfRange, MalformedInput, SizeTooLarge
 from setpart.involutions import (
     weighted_alternating_sum,
@@ -70,10 +71,19 @@ class GroundSet:
         return _ground(source)
 
 
+def one_block(*elements):
+    """SetPartition([elements]): the integer arguments of a partition are
+    its elements, and the ground is their union."""
+    return SetPartition([elements])
+
+
+one_block.__qualname__ = SetPartition.__qualname__  # the case ids name the class
+
+
 # (name, callable, valid arguments, positions of the integer arguments,
 # and optionally what -1 in such a position raises when that is not an
 # IndexOutOfRange: a ground size raises MalformedInput, as a bad element
-# would, and None marks binomial's zero-outside rule); a name outside
+# does, and None marks binomial's zero-outside rule); a name outside
 # setpart.__all__ has a module prefix
 ARGUMENTS = [
     ("a000262", a000262, (3,), (0,)),
@@ -90,7 +100,7 @@ ARGUMENTS = [
     ("singleton_identity_rhs", singleton_identity_rhs, (3, "pair"), (0,)),
     ("partitions._ground", GroundSet.range_n, (3,), (0,), MalformedInput),
     ("partitions._ground", GroundSet.of, (3,), (0,), MalformedInput),
-    ("SetPartition", SetPartition, (2, [[1, 2]]), (0,), MalformedInput),
+    ("SetPartition", one_block, (1, 2), (0,), MalformedInput),
     ("count_partitions", count_partitions, (3,), (0,), MalformedInput),
     ("enumerate_partitions", enumerate_partitions, (3,), (0,), MalformedInput),
     ("block_containing", block_containing, (P("1/2"), 1), (1,)),
@@ -254,6 +264,52 @@ def test_identity_sides_stop_at_their_own_ceiling(side, name, below):
     assert isinstance(side(cap), int)
     with pytest.raises(SizeTooLarge, match="^%s is capped at %d$" % (name, cap)):
         side(cap + 1)
+
+
+def _refused_at_once(call, message):
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge) as err:
+        call()
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == message
+
+
+# both sides of Theorem 2 share one domain: the alternating side's first
+# term is Y_{n+1}, so n stops one below POLY_CEILING; neither side is
+# evaluated at its cap here (Y_60 has 966,467 terms)
+@pytest.mark.parametrize(
+    "side", [weighted_alternating_sum, weighted_binomial_sum], ids=lambda f: f.__name__
+)
+def test_weighted_sides_stop_below_the_polynomial_ceiling(side):
+    for n in (POLY_CEILING, 10**6):
+        _refused_at_once(lambda: side(n, 0), "n is capped at %d" % (POLY_CEILING - 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        WeightVector.ones,
+        WeightVector.factorials,
+        WeightVector.shifted_factorials,
+        WeightVector.derangement_pattern,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_weight_vectors_stop_at_the_sequence_ceiling(build):
+    assert len(build(NUMBERS_CEILING)) == NUMBERS_CEILING
+    for m in (NUMBERS_CEILING + 1, 10**9):
+        _refused_at_once(lambda: build(m), "m is capped at %d" % (NUMBERS_CEILING,))
+
+
+def test_binomial_stops_at_the_sequence_ceiling_inside_its_window():
+    assert binomial(NUMBERS_CEILING, NUMBERS_CEILING // 2) > 0
+    message = "n is capped at %d" % (NUMBERS_CEILING,)
+    for n, k in ((NUMBERS_CEILING + 1, 1), (10**6, 5 * 10**5)):
+        _refused_at_once(lambda: binomial(n, k), message)
+    # outside 0 <= k <= n the answer is 0 at any size
+    assert binomial(10**6, 2 * 10**6) == 0
+    assert binomial(-1, 0) == 0
+    assert binomial(10**6, -1) == 0
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,29 @@ class TestNumbers:
         assert code == 0
         assert len(out.splitlines()) == 1001
 
+    @pytest.mark.parametrize(
+        "kind, depth",
+        [
+            (kind, 1000)
+            for kind in ("bell", "catalan", "kdiff", "factorial", "derangement")
+        ]
+        + [("a000262", 24)],
+    )
+    def test_every_value_prints_at_the_ceiling(self, capsys, kind, depth):
+        # str() refuses an int past sys.get_int_max_str_digits() (4,300);
+        # the longest value here, 1000! and d(1000), has 2,568 digits
+        code, out, _ = run_cli(capsys, "numbers", kind, "--max-n", str(depth))
+        assert code == 0
+        table = [line.split()[1] for line in out.splitlines()]
+        code, out, _ = run_cli(
+            capsys, "numbers", kind, "--max-n", str(depth), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["values"] == table
+        assert len(table) == depth + 1
+        assert table[-1] == str(getattr(numbers_mod, cli._NUMBER_KINDS[kind])(depth))
+        assert max(map(len, table)) <= 2568
+
     def test_table_beyond_golden_range_fails_cleanly(self, capsys):
         code, _, err = run_cli(capsys, "numbers", "a000262", "--max-n", "30")
         assert code == 2
@@ -464,6 +487,15 @@ class TestCsvShape:
         assert all(len(row) == len(header) for row in rows)
 
 
+def _project():
+    """The ``[project]`` table of the ``pyproject.toml`` of the checkout that
+    holds the imported package."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(setpart.__file__).resolve().parent.parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
 def _write_launcher(bin_dir):
     """Write the launcher an installer makes for the declared console script.
 
@@ -471,12 +503,8 @@ def _write_launcher(bin_dir):
     the checkout that holds the imported package, so the script runs the code
     under test and needs no install step.
     """
-    tomllib = pytest.importorskip("tomllib")
     import_root = Path(setpart.__file__).resolve().parent.parent
-    pyproject = import_root.parent / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["setpart"]
-    module, _, attr = target.partition(":")
+    module, _, attr = _project()["scripts"]["setpart"].partition(":")
     bin_dir.mkdir()
     script = bin_dir / "setpart"
     script.write_text(
@@ -559,6 +587,9 @@ class TestConsoleScript:
             PYTHONPATH=str(import_root),
         )
         _check_console_script(env)
+
+    def test_version_matches_the_project(self):
+        assert setpart.__version__ == _project()["version"]
 
     @pytest.mark.skipif(
         shutil.which("setpart") is None,

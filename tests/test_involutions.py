@@ -88,9 +88,9 @@ class TestSignedPair:
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: SetPartition(1, [[True]]),
-        lambda: SetPartition(2, [[1.0, 2]]),
-        lambda: SetPartition.from_blocks([[1, "a"]]),
+        lambda: SetPartition([[True]]),
+        lambda: SetPartition([[1.0, 2]]),
+        lambda: SetPartition([[1, "a"]]),
         lambda: SignedPair(1, 1, [True], SetPartition.from_text("2")),
         lambda: build_singleton_free(1, 0, [True], SetPartition.from_text("")),
     ],
@@ -295,7 +295,7 @@ class TestGatherSingletons:
 
     def test_rejects_sparse_ground(self):
         with pytest.raises(MalformedInput):
-            gather_singletons(SetPartition.from_blocks([[2], [4]]))
+            gather_singletons(SetPartition([[2], [4]]))
 
 
 class TestGatherSingletonsTwo:
@@ -358,7 +358,7 @@ class TestClassLabels:
     def test_all_singletons_never_classified(self):
         for j in range(2, 7):
             blocks = [[e] for e in range(1, j + 1)]
-            assert classify_cd(SetPartition.from_blocks(blocks), j) == ()
+            assert classify_cd(SetPartition(blocks), j) == ()
 
     @pytest.mark.parametrize("j", range(2, 8))
     def test_class_sizes_telescope(self, j):

@@ -485,7 +485,7 @@ class TestFalsifiedOracle:
         monkeypatch.setattr(
             involutions,
             "gather_singletons",
-            lambda src: SetPartition.from_blocks([range(1, len(src.ground) + 2)]),
+            lambda src: SetPartition([range(1, len(src.ground) + 2)]),
         )
         report = verify.run_identity("bijections", max_n=4)
         # at j <= 1 the domain has one element, so one block is a bijection
@@ -503,7 +503,7 @@ class TestFalsifiedOracle:
             a = block_containing(out, j + 1)
             b = block_containing(out, j + 2)
             rest = [x for x in out.blocks if x not in (a, b)]
-            return SetPartition.from_blocks(rest + [a + b])
+            return SetPartition(rest + [a + b])
 
         monkeypatch.setattr(involutions, "gather_singletons_two", joined)
         report = verify.run_identity("bijections", max_n=4)
