@@ -2,6 +2,9 @@
 
 The hot loops behind every partition and non-crossing sweep:
 restricted-growth-string iteration and the pattern-avoiding word counts.
+iter_rgs follows Knuth's Algorithm H (TAOCP 4A, 7.2.1.5): the last
+letter runs in an inner loop, and only a change of prefix takes the
+odometer's general step.
 
 A growth word avoids the pattern 1212 exactly when it follows the
 open-block rule: each letter either opens a new block (one more than the
@@ -22,26 +25,31 @@ def iter_rgs(n):
     """Yield every restricted growth string of length n, lexicographically.
 
     Words are tuples of 1-based letters: the first letter is 1 and each
-    letter exceeds the running maximum by at most one.
+    letter exceeds the running maximum by at most one.  The last letter
+    runs through 1..max(prefix) + 1; between runs an odometer raises the
+    last prefix letter that may grow and resets every letter after it to 1.
     """
     if n < 0:
         raise ValueError("word length must be nonnegative")
     if n == 0:
         yield ()
         return
-    w = [1] * n
-    m = [1] * n  # m[i] = max(w[0..i])
+    p = n - 1
+    w = [1] * p
+    m = [1] * p  # m[i] = max(w[0..i])
     while True:
-        yield tuple(w)
-        i = n - 1
+        head = tuple(w)
+        for c in range(1, (m[-1] if p else 0) + 2):
+            yield head + (c,)
+        i = p - 1
         while i > 0 and w[i] > m[i - 1]:
             i -= 1
-        if i == 0:
+        if i <= 0:
             return
         w[i] += 1
         if w[i] > m[i]:
             m[i] = w[i]
-        for k in range(i + 1, n):
+        for k in range(i + 1, p):
             w[k] = 1
             m[k] = m[k - 1]
 

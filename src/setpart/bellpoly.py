@@ -24,6 +24,7 @@ from .errors import (
     WeightVectorTooShort,
     _index,
     _is_int,
+    _unprintable,
 )
 from .numbers import NUMBERS_CEILING, factorial
 
@@ -77,12 +78,13 @@ class Monomial:
         return out
 
     def to_text(self) -> str:
-        if not self.pairs:
-            return "1"
-        factors = []
-        for i, e in self.pairs:
-            factors.append("t%d" % i if e == 1 else "t%d^%d" % (i, e))
-        return "*".join(factors)
+        try:
+            factors = [
+                "t%d" % i if e == 1 else "t%d^%d" % (i, e) for i, e in self.pairs
+            ]
+        except ValueError:  # past int-to-text's limit on digits
+            raise _unprintable("an index or exponent") from None
+        return "*".join(factors) or "1"
 
     def to_jsonable(self):
         return [list(p) for p in self.pairs]
@@ -96,7 +98,10 @@ class Monomial:
         return hash(self.pairs)
 
     def __repr__(self):
-        return "Monomial(%r)" % (list(self.pairs),)
+        try:
+            return "Monomial(%r)" % (list(self.pairs),)
+        except ValueError:  # past int-to-text's limit on digits
+            raise _unprintable("an index or exponent") from None
 
 
 class BellPolynomial:

@@ -17,9 +17,9 @@ from . import bellpoly, involutions, numbers, verify
 from .errors import (
     MalformedInput,
     SetpartError,
-    SizeTooLarge,
     WeightVectorTooShort,
     _index,
+    _unprintable,
 )
 from .partitions import SetPartition, _read_integers
 
@@ -241,10 +241,7 @@ def _cmd_bellpoly(args) -> int:
         try:
             value = str(value)
         except ValueError:  # past int-to-text's limit on digits
-            raise SizeTooLarge(
-                "the value has over %d digits, too many to print"
-                % (sys.get_int_max_str_digits(),)
-            ) from None
+            raise _unprintable("the value") from None
         document = {"n": n, "weights": weights, "value": value}
         parts = (document, ("n", "value"), ((str(n), value),), (value,))
     _emit(args.format, *parts)

@@ -6,8 +6,11 @@ of the public operations.
 
 The module also holds the one rule for integer arguments: _is_int decides
 what an integer is, and _index checks every size, index, window and job
-count against it.
+count against it; _unprintable is the error for an integer too long to
+print.
 """
+
+import sys
 
 
 class SetpartError(Exception):
@@ -58,6 +61,14 @@ def _is_int(value) -> bool:
     """The one test of an integer argument, element or weight: an int, not
     a bool (True == 1 would otherwise pass every range check)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _unprintable(what: str) -> SizeTooLarge:
+    """The error for an integer that str() refuses as past its digit limit."""
+    return SizeTooLarge(
+        "%s has over %d digits, too many to print"
+        % (what, sys.get_int_max_str_digits())
+    )
 
 
 def _index(value, name="n", top=None, low=0, ceiling=None):

@@ -60,15 +60,6 @@ class SignedPair:
         self.S = s
         self.pi = pi
 
-    @classmethod
-    def _trusted(cls, n, j, S, pi) -> "SignedPair":
-        lam = object.__new__(cls)
-        lam.n = n
-        lam.j = j
-        lam.S = S
-        lam.pi = pi
-        return lam
-
     @property
     def sign(self) -> int:
         return -1 if len(self.S) % 2 else 1
@@ -118,8 +109,16 @@ def partner(lam: SignedPair) -> Optional[SignedPair]:
     else:
         new_ground = ground[:i] + ground[i + 1 :]
         new_blocks = blocks[:k] + blocks[k + 1 :]
-    pi = SetPartition._trusted(new_ground, new_blocks)
-    return SignedPair._trusted(lam.n, lam.j, lam.S ^ {pivot}, pi)
+    # the splices keep both objects valid, so they are built unchecked,
+    # without a constructor call: partner runs once per pair
+    pi = object.__new__(SetPartition)
+    pi.ground, pi.blocks = new_ground, new_blocks
+    mu = object.__new__(SignedPair)
+    mu.n = lam.n
+    mu.j = lam.j
+    mu.S = lam.S ^ {pivot}
+    mu.pi = pi
+    return mu
 
 
 def pivot_of(lam: SignedPair) -> Optional[int]:
@@ -146,9 +145,15 @@ def enumerate_carrier(n: int, j: int) -> Iterator[SignedPair]:
     the standard enumeration order.
     """
     _index(j, "j", top=_index(n, ceiling=CARRIER_CEILING))
+    new = object.__new__
     for s, ground in _complements(n + 1, range(1, j + 1)):
         for pi in enumerate_partitions(ground):
-            yield SignedPair._trusted(n, j, s, pi)
+            lam = new(SignedPair)  # unchecked: the walk keeps the pair valid
+            lam.n = n
+            lam.j = j
+            lam.S = s
+            lam.pi = pi
+            yield lam
 
 
 def _complements(size: int, choices: range):

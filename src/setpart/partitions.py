@@ -20,6 +20,7 @@ from .errors import (
     NonContiguousGround,
     _index,
     _is_int,
+    _unprintable,
 )
 
 ENUMERATION_CEILING = 13  # B(13) = 27,644,437 words, walked one by one
@@ -116,7 +117,10 @@ class SetPartition:
         return cls([] if blocks == [()] else blocks)
 
     def to_text(self) -> str:
-        return "/".join(",".join(str(e) for e in b) for b in self.blocks)
+        try:
+            return "/".join(",".join(str(e) for e in b) for b in self.blocks)
+        except ValueError:  # past int-to-text's limit on digits
+            raise _unprintable("an element") from None
 
     def to_jsonable(self):
         """Sorted list-of-lists form used by the command-line output."""
@@ -228,29 +232,45 @@ def enumerate_partitions(ground) -> Iterator[SetPartition]:
     (after order-isomorphic relabeling when the ground is not [n]), and is
     identical between runs.
 
-    Consecutive words mostly differ in the last letter only, so the blocks
-    of the first n - 1 elements are rebuilt only when that prefix changes,
-    and the last element is placed into a copy of them.  In lexicographic
-    order the prefix changes exactly when the last letter falls back to 1.
+    Each partition is built from its prefix, as _kernels.iter_rgs walks
+    (Knuth's Algorithm H): a word places its last element into a copy of
+    the prefix's blocks.  The prefix changes exactly when the last letter
+    is 1, and then only its letters from the last one above 1 are new (the
+    odometer reset every letter after that one to 1), so only their
+    blocks are rebuilt.
 
     Like count_partitions, it refuses a ground larger than
     ENUMERATION_CEILING.
     """
     g = _ground(ground)
-    head, last = g[:-1], g[-1:]
-    make = SetPartition._trusted
-    for word in _kernels.iter_rgs(len(g)):
-        if not word:
-            yield make(g, ())
-            continue
+    if not g:  # one empty word, one empty partition
+        yield from (SetPartition._trusted(g, ()) for _ in _kernels.iter_rgs(0))
+        return
+    n = len(g)
+    last = g[-1:]
+    levels = [()] * n  # levels[i]: the blocks of g[:i] under the current word
+    new = object.__new__
+    for word in _kernels.iter_rgs(n):
         c = word[-1]
-        if c == 1:
-            base = _blocks_of_word(word[:-1], head)
+        if c == 1:  # a new prefix
+            i = max(n - 2, 0)
+            while i > 0 and word[i] == 1:
+                i -= 1
+            base = levels[i]
+            for i in range(i, n - 1):
+                b = word[i]
+                if b > len(base):
+                    base = base + ((g[i],),)
+                else:
+                    base = base[: b - 1] + (base[b - 1] + (g[i],),) + base[b:]
+                levels[i + 1] = base
         if c > len(base):
             blocks = base + (last,)
         else:
             blocks = base[: c - 1] + (base[c - 1] + last,) + base[c:]
-        yield make(g, blocks)
+        p = new(SetPartition)  # the walk keeps the blocks canonical
+        p.ground, p.blocks = g, blocks
+        yield p
 
 
 def count_partitions(ground) -> int:

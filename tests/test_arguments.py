@@ -4,6 +4,7 @@ before any work is done.  Anything else raises MalformedInput, and -1
 raises an IndexOutOfRange (a NegativeIndex where the rule applies)."""
 
 import inspect
+import sys
 import time
 
 import pytest
@@ -330,3 +331,22 @@ def test_unknown_tokens_are_out_of_range(call):
 def test_jobs_below_one_are_rejected():
     with pytest.raises(IndexOutOfRange):
         run_identity("thm1", 2, jobs=0)
+
+
+@pytest.mark.parametrize(
+    "show, what",
+    [
+        (lambda: SetPartition([[2, 10**5000]]).to_text(), "an element"),
+        (lambda: repr(SetPartition([[2, 10**5000]])), "an element"),
+        (lambda: Monomial([(1, 10**5000)]).to_text(), "an index or exponent"),
+        (lambda: repr(Monomial([(10**5000, 1)])), "an index or exponent"),
+    ],
+    ids=["partition-text", "partition-repr", "monomial-text", "monomial-repr"],
+)
+def test_integers_past_the_text_limit_are_refused_by_the_printers(show, what):
+    # the library holds such integers; str() refuses them with a bare
+    # ValueError, which each printer turns into a SetpartError
+    with pytest.raises(SizeTooLarge) as err:
+        show()
+    limit = sys.get_int_max_str_digits()
+    assert str(err.value) == "%s has over %d digits, too many to print" % (what, limit)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 
-from setpart import involutions, numbers
+from setpart import _kernels, involutions, numbers
 from setpart.bellpoly import BellPolynomial, Monomial
 from setpart.errors import (
     IndexOutOfRange,
@@ -132,6 +132,31 @@ class TestCarrier:
             for j in range(n + 1):
                 got = sum(1 for _ in enumerate_carrier(n, j))
                 assert got == unsigned_carrier_count(n, j)
+
+    def test_one_partition_and_one_word_per_pair(self, monkeypatch):
+        # the sweep benchmark pins kernels.words == partitions.objects ==
+        # carrier pairs; a pair built without its partition breaks that
+        pulled = {"partitions": 0, "words": 0}
+
+        def counted(name, source):
+            def wrapper(*args):
+                for item in source(*args):
+                    pulled[name] += 1
+                    yield item
+
+            return wrapper
+
+        monkeypatch.setattr(
+            involutions,
+            "enumerate_partitions",
+            counted("partitions", involutions.enumerate_partitions),
+        )
+        monkeypatch.setattr(_kernels, "iter_rgs", counted("words", _kernels.iter_rgs))
+        for n in range(6):
+            for j in range(n + 1):
+                pulled.update(partitions=0, words=0)
+                pairs = sum(1 for _ in enumerate_carrier(n, j))
+                assert pulled == {"partitions": pairs, "words": pairs}
 
     def test_stream_deterministic_and_distinct(self):
         a = list(enumerate_carrier(4, 3))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 
@@ -24,13 +25,45 @@ class TestStreams:
         words = list(_kernels.iter_noncrossing(n))
         assert all(a < b for a, b in zip(words, words[1:]))
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_rgs_stream_is_growth_words_filtered_from_all_words(self, n):
+        # an oracle apart from the odometer: every word over 1..n, in
+        # product's lexicographic order, kept when each letter is at most
+        # one above the running maximum
+        def grows(word):
+            top = 0
+            for c in word:
+                if c > top + 1:
+                    return False
+                top = max(top, c)
+            return True
+
+        words = itertools.product(range(1, n + 1), repeat=n)
+        assert list(_kernels.iter_rgs(n)) == list(filter(grows, words))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rgs_word_ends_in_one_exactly_when_its_prefix_changes(self, n):
+        # the last letter runs through its values in an inner loop, so a
+        # word ending in 1 starts a run, and the prefix is new exactly there;
         # enumerate_partitions rebuilds its prefix blocks on this signal
         previous = None
         for word in _kernels.iter_rgs(n):
             assert (word[-1] == 1) == (word[:-1] != previous)
             previous = word[:-1]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_new_prefix_resets_every_letter_after_its_last_raised_one(self, n):
+        # enumerate_partitions keeps the blocks of the prefix up to its last
+        # letter above 1 and rebuilds only the letters after it
+        words = list(_kernels.iter_rgs(n))
+        assert words[0] == (1,) * n
+        for previous, word in zip(words, words[1:]):
+            if word[-1] != 1:
+                continue
+            k = max(i for i in range(n - 1) if word[i] > 1)
+            assert word[:k] == previous[:k]
+            assert word[k] > previous[k]
+            assert word[k + 1 : -1] == (1,) * (n - 2 - k)
 
     @pytest.mark.parametrize("n", range(9))
     def test_noncrossing_stream_is_filtered_rgs_stream(self, n):

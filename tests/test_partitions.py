@@ -275,9 +275,25 @@ class TestEnumeration:
         }
         assert got == set(oracles.partitions_by_placement(ground))
 
+    @pytest.mark.parametrize("ground", [*range(9), (2, 5, 6, 9, 11)], ids=str)
+    def test_takes_one_word_per_partition(self, monkeypatch, ground):
+        # the sweep benchmark pins kernels.words == partitions.objects
+        words = []
+
+        def counted(n):
+            for word in iter_rgs(n):
+                words.append(word)
+                yield word
+
+        iter_rgs = _kernels.iter_rgs
+        monkeypatch.setattr(_kernels, "iter_rgs", counted)
+        stream = list(enumerate_partitions(ground))
+        bell = oracles.bell_by_placement(len(_ground(ground)))
+        assert len(words) == len(stream) == bell
+
     @pytest.mark.parametrize(
         "ground",
-        [*range(9), (2, 4, 5), (1, 3), (9,), ()],
+        [*range(10), (2, 4, 5), (1, 3), (9,), ()],
         ids=str,
     )
     def test_stream_decodes_each_growth_word(self, ground):
