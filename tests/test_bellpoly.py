@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -19,6 +20,7 @@ from setpart.errors import (
     SizeTooLarge,
     WeightVectorTooShort,
 )
+from setpart.involutions import weighted_alternating_sum, weighted_binomial_sum
 from setpart.partitions import SetPartition, enumerate_partitions
 
 
@@ -188,6 +190,48 @@ class TestRecurrenceOracle:
             rng = random.Random(seed)
             x = [rng.randint(-3, 3) for _ in range(n)]
             assert poly.evaluate(x) == oracles.complete_bell_by_recurrence(x)
+        rng = random.Random(n)
+        for x in ([0] * n, [rng.randint(-(10**30), 10**30) for _ in range(n)]):
+            assert poly.evaluate(x) == oracles.complete_bell_by_recurrence(x)
+        if n:
+            with pytest.raises(WeightVectorTooShort):
+                poly.evaluate(x[:-1])
+
+
+class TestSymbolicRecurrenceOracle:
+    # the recurrence builds Y_n without the integer-partition walk, so it
+    # checks every term and coefficient far past the enumeration route
+    @pytest.mark.parametrize("n", range(25))
+    def test_formula_route_matches_symbolic_recurrence(self, n):
+        want = oracles.complete_bell_polynomial_by_recurrence(n)
+        assert complete_bell_by_sum(n) == want
+        by_blocks = {}
+        for mono, coeff in want.terms():
+            blocks = sum(e for _, e in mono.pairs)
+            by_blocks.setdefault(blocks, []).append((mono, coeff))
+        for r in range(n + 1):
+            assert partial_bell(n, r) == BellPolynomial(by_blocks.get(r, ()))
+
+
+class TestBuildSharing:
+    def test_builders_leave_no_cyclic_garbage(self):
+        # a dropped polynomial is freed by reference counting alone
+        gc.collect()
+        gc.disable()
+        try:
+            complete_bell_by_sum(12)
+            partial_bell(12, 4)
+            weighted_alternating_sum(8, 3)
+            weighted_binomial_sum(8, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_monomials_share_one_object_per_pair(self):
+        polys = [complete_bell_by_sum(20)] + [partial_bell(20, r) for r in range(21)]
+        for poly in polys:
+            pairs = [p for mono in poly._terms for p in mono.pairs]
+            assert len({id(p) for p in pairs}) == len(set(pairs))
 
 
 def assert_canonical(monomials):
