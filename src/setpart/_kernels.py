@@ -79,23 +79,27 @@ def _count_words(n, closing, adj_prefix, cyclic):
                 total += walk(i + 1, stack[: k + 1] if closing else stack, top)
         return total + walk(i + 1, stack + (top + 1,), top + 1)
 
-    return walk(0, (), 0)
+    total = walk(0, (), 0)
+    del walk  # walk reaches itself through its closure: no cycle is left
+    return total
 
 
 def iter_noncrossing(n):
     """Yield the 1212-avoiding growth strings of length n, lazily, in lex order."""
     if n < 0:
         raise ValueError("word length must be nonnegative")
+    return _extend(n, (), (), 0)
 
-    def extend(word, stack, top):
-        if len(word) == n:
-            yield word
-            return
-        for k, c in enumerate(stack):
-            yield from extend(word + (c,), stack[: k + 1], top)
-        yield from extend(word + (top + 1,), stack + (top + 1,), top + 1)
 
-    return extend((), (), 0)
+def _extend(n, word, stack, top):
+    """The 1212-avoiding words of length n that extend word, whose open
+    letters are stack and whose largest letter is top."""
+    if len(word) == n:
+        yield word
+        return
+    for k, c in enumerate(stack):
+        yield from _extend(n, word + (c,), stack[: k + 1], top)
+    yield from _extend(n, word + (top + 1,), stack + (top + 1,), top + 1)
 
 
 def count_rgs(n):

@@ -307,18 +307,41 @@ def weight_monomial(lam: SignedPair) -> Monomial:
 def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
     """Sum of signed weight monomials over the whole carrier.
 
-    Walks every pair, counts the pairs per signature (|S|, sorted block
-    sizes), and builds one monomial per signature, signed (-1)^|S|.
+    Walks each marked set S with every partition of its complement, with
+    no pair built, counts them per (|S|, block sizes in block order), sorts
+    each distinct shape once and signs each signature's monomial (-1)^|S|.
     """
     _index(j, "j", top=_index(n, ceiling=SYMBOLIC_CEILING))
-    tally = Counter(
-        (len(lam.S), tuple(sorted(map(len, lam.pi.blocks))))
-        for lam in enumerate_carrier(n, j)
+    shapes = Counter(
+        (len(s), tuple(map(len, pi.blocks)))
+        for s, ground in _complements(n + 1, range(1, j + 1))
+        for pi in enumerate_partitions(ground)
     )
+    tally = Counter()
+    for (ones, shape), count in shapes.items():
+        tally[ones, tuple(sorted(shape))] += count
     return BellPolynomial(
         (_size_monomial(sizes, ones), (-1) ** ones * count)
         for (ones, sizes), count in tally.items()
     )
+
+
+# Y_m is kept per process up to this degree, enough for thm2's closed
+# cells (n <= 10); a call near POLY_CEILING leaves nothing large behind
+_CACHED_DEGREE = 11
+_complete_cache = {}  # m -> (the builder that made it, Y_m)
+
+
+def _complete(m: int) -> BellPolynomial:
+    """Y_m from complete_bell_by_sum, looked up when called; a cached Y_m
+    is reused only while that name holds the builder that made it."""
+    build = complete_bell_by_sum
+    entry = _complete_cache.get(m)
+    if entry is None or entry[0] is not build:
+        entry = build, build(m)
+        if m <= _CACHED_DEGREE:
+            _complete_cache[m] = entry
+    return entry[1]
 
 
 def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
@@ -327,7 +350,7 @@ def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
     _index(j, "j", top=_index(n, ceiling=POLY_CEILING - 1))
     return _combination(
         (
-            complete_bell_by_sum(n + 1 - i),
+            _complete(n + 1 - i),
             (-1) ** i * binomial(j, i),
             Monomial.single(1, i) if i else None,
         )
@@ -338,19 +361,22 @@ def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
 def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
     """Triple sum counting singleton-free-in-{1..j} partitions by weight.
 
-    k elements above j and l at most j join the block of n+1 (one block
-    of size k+l+1); the rest avoids singletons in the remaining j-l low
-    elements by inclusion-exclusion over r marked ones.
+    k elements above j and l at most j join the block of n+1, one block
+    of size a + 1 with a = k + l; the rest avoids singletons in the
+    remaining j - l low elements by inclusion-exclusion over r marked
+    ones, which leaves B_{n-a-r}.  The triples are grouped by (a, r): each
+    group is one part t_1^r t_{a+1} B_{n-a-r} with the exact integer
+    coefficient (-1)^r sum over l of C(n-j, a-l) C(j, l) C(j-l, r).
     """
     _index(j, "j", top=_index(n, ceiling=POLY_CEILING - 1))
-    complete = [complete_bell_by_sum(m) for m in range(n + 1)]
-    return _combination(
-        (
-            complete[n - k - l - r],
-            (-1) ** r * binomial(n - j, k) * binomial(j, l) * binomial(j - l, r),
-            Monomial(((1, r), (k + l + 1, 1))),
-        )
-        for k in range(n - j + 1)
-        for l in range(j + 1)
-        for r in range(j - l + 1)
-    )
+    parts = []
+    for a in range(n + 1):
+        low = max(0, a - (n - j))  # k = a - l is at most n - j
+        for r in range(j - low + 1):
+            coeff = sum(
+                binomial(n - j, a - l) * binomial(j, l) * binomial(j - l, r)
+                for l in range(low, min(a, j - r) + 1)
+            )
+            mono = Monomial(((1, r), (a + 1, 1)))
+            parts.append((_complete(n - a - r), (-1) ** r * coeff, mono))
+    return _combination(parts)

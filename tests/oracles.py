@@ -13,7 +13,12 @@ import math
 from fractions import Fraction
 
 from setpart._kernels import iter_rgs
-from setpart.bellpoly import BellPolynomial, Monomial
+from setpart.bellpoly import (
+    BellPolynomial,
+    Monomial,
+    _combination,
+    complete_bell_by_sum,
+)
 
 
 def partitions_by_placement(elements):
@@ -116,6 +121,24 @@ def complete_bell_by_enumeration(n):
         sizes = collections.Counter(collections.Counter(word).values())
         tally[tuple(sorted(sizes.items()))] += 1
     return BellPolynomial((Monomial(key), count) for key, count in tally.items())
+
+
+def weighted_binomial_by_triples(n, j):
+    """The binomial side of Theorem 2 as its literal triple sum, one part
+    per (k, l, r): k elements above j and l at most j join the block of
+    n + 1, and inclusion-exclusion marks r of the other j - l low
+    elements.  The library groups the triples by the block's size."""
+    ys = [complete_bell_by_sum(m) for m in range(n + 1)]
+    return _combination(
+        (
+            ys[n - k - l - r],
+            (-1) ** r * math.comb(n - j, k) * math.comb(j, l) * math.comb(j - l, r),
+            Monomial(((1, r), (k + l + 1, 1))),
+        )
+        for k in range(n - j + 1)
+        for l in range(j + 1)
+        for r in range(j - l + 1)
+    )
 
 
 def derangements_by_bruteforce(n):

@@ -1,9 +1,11 @@
-"""Golden `verify` reports: every token's JSON report, elapsed times removed,
-pinned byte for byte under tests/golden/.
+"""Golden outputs, pinned byte for byte under tests/golden/: every
+`verify` token's JSON report, elapsed times removed, and the text of
+three `trace` runs.
 
-A change that alters what a checker covers, what a counterexample says or
-how a report is laid out shows up here as a diff.  After an intended
-change, regenerate every file from the root of a checkout with
+A change that alters what a checker covers, what a counterexample says,
+how a report is laid out or what `trace` prints shows up here as a diff.
+After an intended change, regenerate every file from the root of a
+checkout with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -39,15 +41,30 @@ DEPTHS = {
 }
 
 
+# golden file name -> `trace` arguments: the whole carrier of one small
+# cell, the worked example of the README and a fixed pair
+TRACES = {
+    "trace-full": ["--full", "--n", "4", "--j", "2"],
+    "trace-example": ["--n", "8", "--j", "4", "--S", "1,3", "--pi", "2/4,5/6,8,9/7"],
+    "trace-fixed": ["--n", "4", "--j", "2", "--S", "-", "--pi", "1,3/2,5/4"],
+}
+
+
+def run(argv):
+    """The exit code and standard output of one in-process command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
 def report_text(token, jobs=1):
     """The JSON report of `verify <token>` at its golden depth, without its
     timings, as the golden file holds it."""
     argv = ["verify", token, "--max-n", str(DEPTHS[token])]
     argv += ["--format", "json", "--jobs", str(jobs)]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    document = json.loads(out.getvalue())
+    code, text = run(argv)
+    document = json.loads(text)
     del document["elapsed_s"]
     for cell in document["cells"]:
         del cell["elapsed_s"]
@@ -69,6 +86,13 @@ def test_report_matches_golden_file(token, jobs):
     assert text == (GOLDEN / (token + ".json")).read_text()
 
 
+@pytest.mark.parametrize("name", TRACES)
+def test_trace_matches_golden_file(name):
+    code, text = run(["trace"] + TRACES[name])
+    assert code == 0
+    assert text == (GOLDEN / (name + ".txt")).read_text()
+
+
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     for token in DEPTHS:
@@ -76,6 +100,11 @@ def regenerate():
         if code != 0:
             raise SystemExit("verify %s failed; its report is not golden" % token)
         (GOLDEN / (token + ".json")).write_text(text)
+    for name, argv in TRACES.items():
+        code, text = run(["trace"] + argv)
+        if code != 0:
+            raise SystemExit("trace %s failed; its text is not golden" % name)
+        (GOLDEN / (name + ".txt")).write_text(text)
 
 
 if __name__ == "__main__":

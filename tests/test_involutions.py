@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 
-from setpart import _kernels, involutions, numbers
+from setpart import _kernels, involutions, numbers, verify
 from setpart.bellpoly import BellPolynomial, Monomial
 from setpart.errors import (
     IndexOutOfRange,
@@ -433,6 +433,12 @@ class TestWeightedSums:
                         assert m.pairs == Monomial(m.pairs).pairs
                         assert all(type(e) is int and e > 0 for _, e in m.pairs)
 
+    def test_grouped_binomial_side_equals_triple_sum(self):
+        for n in range(14):
+            for j in range(n + 1):
+                want = oracles.weighted_binomial_by_triples(n, j)
+                assert weighted_binomial_sum(n, j) == want
+
     def test_carrier_tally_equals_per_pair_sum(self):
         for n in range(7):
             for j in range(n + 1):
@@ -456,3 +462,14 @@ class TestWeightedSums:
     def test_carrier_sum_ceiling(self):
         with pytest.raises(SizeTooLarge):
             weighted_carrier_sum(involutions.SYMBOLIC_CEILING + 1, 0)
+
+
+class TestCompleteCache:
+    def test_bound_covers_the_closed_thm2_cells(self):
+        closed = verify._IDENTITIES["thm2"].closed_ceiling
+        assert involutions._CACHED_DEGREE >= closed + 1
+
+    def test_no_large_polynomial_stays_cached(self):
+        weighted_alternating_sum(25, 3)
+        weighted_binomial_sum(25, 3)
+        assert max(involutions._complete_cache) == involutions._CACHED_DEGREE

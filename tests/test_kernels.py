@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 
 import pytest
@@ -127,3 +128,16 @@ class TestCountsMatchStreams:
 def test_negative_length_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_kernels_leave_no_cyclic_garbage():
+    # a finished walk is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        _kernels.count_noncrossing(8)
+        _kernels.count_rgs(8)
+        list(_kernels.iter_noncrossing(6))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

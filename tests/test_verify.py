@@ -356,8 +356,8 @@ class TestForkRunner:
 
 class TestModePolicy:
     """Which halves of a check a mode runs, seen by making the sweep
-    halves of thm1 and thm2 (the carrier) and cor2 (the gather-one map)
-    raise."""
+    halves of thm1 (the carrier), thm2 (the weighted carrier) and cor2
+    (the gather-one map) raise."""
 
     BOOM = {"error": "RuntimeError", "message": "sweep half ran"}
 
@@ -367,6 +367,7 @@ class TestModePolicy:
             raise RuntimeError("sweep half ran")
 
         monkeypatch.setattr(involutions, "enumerate_carrier", boom)
+        monkeypatch.setattr(involutions, "weighted_carrier_sum", boom)
         monkeypatch.setattr(involutions, "gather_singletons", boom)
 
     @pytest.mark.parametrize(
@@ -641,15 +642,16 @@ class TestFalsifiedOracle:
         ]
 
     def test_thm2_carrier_missing_a_pair_is_caught(self, monkeypatch):
-        orig = involutions.enumerate_carrier
+        orig = involutions.enumerate_partitions
 
-        def lossy(n, j):
-            pairs = orig(n, j)
-            if n == 3:
-                next(pairs)
-            return pairs
+        def lossy(ground):
+            # the carrier of n = 3 partitions grounds whose largest element is 4
+            partitions = orig(ground)
+            if ground[-1] == 4:
+                next(partitions)
+            return partitions
 
-        monkeypatch.setattr(involutions, "enumerate_carrier", lossy)
+        monkeypatch.setattr(involutions, "enumerate_partitions", lossy)
         report = verify.run_identity("thm2", max_n=5, mode="enumerative")
         bad = report.failures()
         assert [c.params for c in bad] == [
@@ -679,6 +681,24 @@ class TestFalsifiedOracle:
         report = verify.run_identity("thm2", max_n=8, mode="closed-form")
         cells = verify.plan_cells("thm2", 8, "closed-form")
         assert [c.params for c in report.failures()] == cells
+        assert all(set(c.counterexample) == {"lhs", "rhs"} for c in report.failures())
+
+    def test_thm2_warm_cache_still_reaches_a_broken_builder(self, monkeypatch):
+        assert verify.run_identity("thm2", max_n=10, mode="closed-form").passed
+        orig = involutions.complete_bell_by_sum
+        t1 = BellPolynomial([(Monomial.single(1), 1)])
+        monkeypatch.setattr(
+            involutions,
+            "complete_bell_by_sum",
+            lambda m: orig(m) + t1 if m == 4 else orig(m),
+        )
+        report = verify.run_identity("thm2", max_n=6, mode="closed-form")
+        cells = verify.plan_cells("thm2", 6, "closed-form")
+        # Y_4 enters every cell with n >= 3, the j = 0 recurrence among them
+        assert [c.params for c in report.failures()] == [
+            c for c in cells if c["n"] >= 3
+        ]
+        assert len(report.failures()) == 22
         assert all(set(c.counterexample) == {"lhs", "rhs"} for c in report.failures())
 
     def test_thm2_wrong_side_vanishing_on_small_weights_fails_every_cell(
