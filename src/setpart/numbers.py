@@ -77,23 +77,11 @@ def catalan(n: int) -> int:
 
 
 def catalan_difference(n: int) -> int:
-    """Alternating binomial transform of the Catalan numbers.
-
-    Counts, among other things, the non-crossing words of length n with
-    no equal cyclically-adjacent letters.  binomial(n, i) and catalan(i)
-    are carried along by exact ratio updates, and a remainder raises
-    NonIntegerCoefficient.
-    """
+    """catalan_partial_sum(n, n), the alternating binomial transform of
+    the Catalan numbers; counts, among other things, the non-crossing
+    words of length n with no equal cyclically-adjacent letters."""
     _index(n, ceiling=NUMBERS_CEILING)
-    total = 0
-    choose = cat = 1  # binomial(n, i) and catalan(i) at i = 0
-    for i in range(n + 1):
-        total += (-1) ** (n - i) * choose * cat
-        choose, r_choose = divmod(choose * (n - i), i + 1)
-        cat, r_cat = divmod(cat * 2 * (2 * i + 1), i + 2)
-        if r_choose or r_cat:
-            raise NonIntegerCoefficient("inexact ratio update at i = %d" % (i,))
-    return total
+    return _catalan_transform(n, n)
 
 
 def bell_alternating_sum(n: int, j: int) -> int:
@@ -104,9 +92,12 @@ def bell_alternating_sum(n: int, j: int) -> int:
     NUMBERS_CEILING, since the first term reads bell(n + 1).
     """
     _index(j, "j", top=_index(n, ceiling=NUMBERS_CEILING - 1))
-    return sum(
-        (-1) ** i * binomial(j, i) * bell(n + 1 - i) for i in range(j + 1)
-    )
+    return _bell_transform(n + 1, j)
+
+
+def _bell_transform(m, j):
+    """Sum of (-1)^i binomial(j, i) bell(m - i) over 0 <= i <= j."""
+    return sum((-1) ** i * binomial(j, i) * bell(m - i) for i in range(j + 1))
 
 
 def bell_binomial_sum(n: int, j: int) -> int:
@@ -128,9 +119,7 @@ def singleton_identity_lhs(j: int, variant: str) -> int:
     """
     _check_variant(j, variant)
     shift = {"collapse": 1, "pair": 2, "alternating": 0}[variant]
-    return sum(
-        (-1) ** i * binomial(j, i) * bell(j + shift - i) for i in range(j + 1)
-    )
+    return _bell_transform(j + shift, j)
 
 
 def singleton_identity_rhs(j: int, variant: str) -> int:
@@ -158,14 +147,27 @@ def _check_variant(j, variant):
 
 
 def catalan_partial_sum(n: int, j: int) -> int:
-    """Sum of (-1)^i binomial(j, i) catalan(n - i) over 0 <= i <= j.
-
-    At j = n this coincides with catalan_difference(n) after reindexing.
-    """
+    """Sum of (-1)^i binomial(j, i) catalan(n - i) over 0 <= i <= j."""
     _index(j, "j", top=_index(n, ceiling=NUMBERS_CEILING))
-    return sum(
-        (-1) ** i * binomial(j, i) * catalan(n - i) for i in range(j + 1)
-    )
+    return _catalan_transform(n, j)
+
+
+def _catalan_transform(n, j):
+    """catalan_partial_sum(n, j), from i = j down to 0.
+
+    binomial(j, i) and catalan(n - i) are carried along by exact ratio
+    updates, and a remainder raises NonIntegerCoefficient.
+    """
+    total = 0
+    choose, cat = 1, catalan(n - j)  # binomial(j, i) and catalan(n - i) at i = j
+    for i in range(j, -1, -1):
+        total += (-1) ** i * choose * cat
+        m = n - i
+        choose, r_choose = divmod(choose * i, j - i + 1)
+        cat, r_cat = divmod(cat * 2 * (2 * m + 1), m + 2)
+        if r_choose or r_cat:
+            raise NonIntegerCoefficient("inexact ratio update at i = %d" % (i,))
+    return total
 
 
 def factorial(n: int) -> int:
@@ -187,44 +189,12 @@ def derangement(n: int) -> int:
     return prev1
 
 
-# Partition count by block-size weights (i! per block of size i), OEIS
-# A000262.  Frozen golden values: generated once from the recurrence
-# a(n) = (2n-1) a(n-1) - (n-1)(n-2) a(n-2) and independently confirmed by
-# exhaustive weighted enumeration for n <= 9.  A frozen table (rather than
-# evaluating the weighted polynomial at run time) keeps this sequence
-# usable as an oracle for the polynomial machinery itself.
-_A000262 = (
-    1,
-    1,
-    3,
-    13,
-    73,
-    501,
-    4051,
-    37633,
-    394353,
-    4596553,
-    58941091,
-    824073141,
-    12470162233,
-    202976401213,
-    3535017524403,
-    65573803186921,
-    1290434218669921,
-    26846616451246353,
-    588633468315403843,
-    13564373693588558173,
-    327697927886085654441,
-    8281153039765859726341,
-    218456450997775993367443,
-    6004647590528092507965393,
-    171679472549945695230447313,
-)
-
-
 def a000262(n: int) -> int:
-    """Sum over partitions of an n-set of the product of (block size)!.
-
-    Served from a golden table (see the note above) covering n <= 24.
-    """
-    return _A000262[_index(n, top=len(_A000262) - 1)]
+    """Sum over partitions of an n-set of the product of (block size)!
+    (OEIS A000262), by a_n = (2n - 1) a_{n-1} - (n - 1)(n - 2) a_{n-2}
+    from a_0 = a_1 = 1."""
+    _index(n, ceiling=NUMBERS_CEILING)
+    prev, cur = 1, 1
+    for m in range(2, n + 1):
+        prev, cur = cur, (2 * m - 1) * cur - (m - 1) * (m - 2) * prev
+    return cur

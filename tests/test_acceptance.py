@@ -123,7 +123,7 @@ def test_criterion_6_polynomial_specializations(capsys):
                 WeightVector.derangement_pattern(m)
             ) == numbers.derangement(n)
         # cross-oracle for the ordered-list counts: independent weighted
-        # enumeration against the golden table and the formula route
+        # enumeration against the recurrence and the formula route
         for n in range(10):
             assert oracles.a000262_by_weighted_count(n) == numbers.a000262(n)
         tally = 0

@@ -38,6 +38,7 @@ from setpart import (
     enumerate_partitions,
     factorial,
     gather_singletons_two,
+    is_noncrossing,
     partial_bell,
     run_identity,
     singleton_identity_lhs,
@@ -48,10 +49,12 @@ from setpart import (
 from setpart.bellpoly import POLY_CEILING
 from setpart.errors import IndexOutOfRange, MalformedInput, SizeTooLarge
 from setpart.involutions import (
+    WEIGHTED_CEILING,
     weighted_alternating_sum,
     weighted_binomial_sum,
     weighted_carrier_sum,
 )
+from setpart.noncrossing import NONCROSSING_CEILING
 from setpart.numbers import NUMBERS_CEILING
 from setpart.partitions import ENUMERATION_CEILING, _ground
 
@@ -211,7 +214,7 @@ def test_minus_one_is_out_of_range(fn, args, negative):
 
 
 @pytest.mark.parametrize(
-    "fn", [bell, catalan, catalan_difference, factorial, derangement]
+    "fn", [bell, catalan, catalan_difference, factorial, derangement, a000262]
 )
 def test_sequences_stop_at_their_ceiling(fn):
     assert fn(NUMBERS_CEILING) > 0
@@ -276,15 +279,28 @@ def _refused_at_once(call, message):
     assert str(err.value) == message
 
 
-# both sides of Theorem 2 share one domain: the alternating side's first
-# term is Y_{n+1}, so n stops one below POLY_CEILING; neither side is
-# evaluated at its cap here (Y_60 has 966,467 terms)
+# both sides of Theorem 2 share one domain, capped at WEIGHTED_CEILING
+# well below POLY_CEILING, since their cost grows about fourfold per 5
+# steps of n; neither side is evaluated at its cap here
 @pytest.mark.parametrize(
     "side", [weighted_alternating_sum, weighted_binomial_sum], ids=lambda f: f.__name__
 )
 def test_weighted_sides_stop_below_the_polynomial_ceiling(side):
-    for n in (POLY_CEILING, 10**6):
-        _refused_at_once(lambda: side(n, 0), "n is capped at %d" % (POLY_CEILING - 1))
+    assert WEIGHTED_CEILING < POLY_CEILING - 1
+    for n in (WEIGHTED_CEILING + 1, POLY_CEILING, 10**6):
+        _refused_at_once(lambda: side(n, 0), "n is capped at %d" % (WEIGHTED_CEILING,))
+
+
+def test_is_noncrossing_stops_at_its_length_ceiling():
+    # the worst word for the last-occurrence scan is nested,
+    # 1 2 ... m m ... 2 1: every letter scans its whole span
+    m = NONCROSSING_CEILING // 2
+    assert is_noncrossing(tuple(range(1, m + 1)) + tuple(range(m, 0, -1)))
+    for length in (NONCROSSING_CEILING + 1, 10**6):
+        _refused_at_once(
+            lambda: is_noncrossing((1,) * length),
+            "length is capped at %d" % (NONCROSSING_CEILING,),
+        )
 
 
 @pytest.mark.parametrize(

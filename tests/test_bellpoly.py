@@ -330,7 +330,8 @@ class TestSpecializations:
         got = poly.evaluate(WeightVector.shifted_factorials(max(n, 1)))
         assert got == numbers.factorial(n)
 
-    @pytest.mark.parametrize("n", range(11))
+    # to n = 24: Y_n at t_i = i! checks a000262 apart from its recurrence
+    @pytest.mark.parametrize("n", range(25))
     def test_factorials_count_ordered_lists(self, n):
         poly = complete_bell_by_sum(n)
         got = poly.evaluate(WeightVector.factorials(max(n, 1)))

@@ -1,6 +1,6 @@
 """Golden outputs, pinned byte for byte under tests/golden/: every
-`verify` token's JSON report, elapsed times removed, and the text of
-three `trace` runs.
+`verify` token's JSON report, elapsed times removed, two failing reports
+made under falsified maps, and the text of three `trace` runs.
 
 A change that alters what a checker covers, what a counterexample says,
 how a report is laid out or what `trace` prints shows up here as a diff.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from setpart import cli, verify
+from setpart import cli, involutions, verify
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -50,6 +50,40 @@ TRACES = {
 }
 
 
+def _kept_sign(partner):
+    """partner, except that the pair ({}, 1,3/2/4) at n = 3, j = 2 is sent
+    to itself, so it keeps its sign."""
+
+    def kept(lam):
+        if (lam.n, lam.j, lam.S, lam.pi.to_text()) == (3, 2, set(), "1,3/2/4"):
+            return lam
+        return partner(lam)
+
+    return kept
+
+
+def _dropped_image(build):
+    """build_singleton_free, except that (T = {}, rho = 1,2/3) at n = 3,
+    j = 1 is sent to the image of (T = {}, rho = 1,2,3), whose own image
+    is then the only one of the two left."""
+
+    def dropped(n, j, t, rho):
+        if (n, j, t, rho.to_text()) == (3, 1, set(), "1,2/3"):
+            rho = rho.from_text("1,2,3")
+        return build(n, j, t, rho)
+
+    return dropped
+
+
+# golden file name -> (token, depth, the involutions map replaced, and
+# its falsified form built from the original): failing reports, which pin
+# the exact counterexample text
+FALSIFIED = {
+    "involution-kept-sign": ("involution", 4, "partner", _kept_sign),
+    "psi-dropped-image": ("psi", 4, "build_singleton_free", _dropped_image),
+}
+
+
 def run(argv):
     """The exit code and standard output of one in-process command."""
     out = io.StringIO()
@@ -58,10 +92,10 @@ def run(argv):
     return code, out.getvalue()
 
 
-def report_text(token, jobs=1):
-    """The JSON report of `verify <token>` at its golden depth, without its
-    timings, as the golden file holds it."""
-    argv = ["verify", token, "--max-n", str(DEPTHS[token])]
+def report_text(token, jobs=1, depth=None):
+    """The JSON report of `verify <token>` at its golden depth, or at
+    depth, without its timings, as the golden file holds it."""
+    argv = ["verify", token, "--max-n", str(depth or DEPTHS[token])]
     argv += ["--format", "json", "--jobs", str(jobs)]
     code, text = run(argv)
     document = json.loads(text)
@@ -69,6 +103,17 @@ def report_text(token, jobs=1):
     for cell in document["cells"]:
         del cell["elapsed_s"]
     return code, json.dumps(document, indent=1) + "\n"
+
+
+def failing_report_text(name):
+    """report_text of a FALSIFIED entry, with its map replaced meanwhile."""
+    token, depth, attribute, falsify = FALSIFIED[name]
+    original = getattr(involutions, attribute)
+    setattr(involutions, attribute, falsify(original))
+    try:
+        return report_text(token, depth=depth)
+    finally:
+        setattr(involutions, attribute, original)
 
 
 def test_every_token_has_a_golden_depth():
@@ -86,6 +131,13 @@ def test_report_matches_golden_file(token, jobs):
     assert text == (GOLDEN / (token + ".json")).read_text()
 
 
+@pytest.mark.parametrize("name", FALSIFIED)
+def test_failing_report_matches_golden_file(name):
+    code, text = failing_report_text(name)
+    assert code == 1
+    assert text == (GOLDEN / (name + ".json")).read_text()
+
+
 @pytest.mark.parametrize("name", TRACES)
 def test_trace_matches_golden_file(name):
     code, text = run(["trace"] + TRACES[name])
@@ -100,6 +152,11 @@ def regenerate():
         if code != 0:
             raise SystemExit("verify %s failed; its report is not golden" % token)
         (GOLDEN / (token + ".json")).write_text(text)
+    for name in FALSIFIED:
+        code, text = failing_report_text(name)
+        if code != 1:
+            raise SystemExit("%s passed; a falsified report must fail" % name)
+        (GOLDEN / (name + ".json")).write_text(text)
     for name, argv in TRACES.items():
         code, text = run(["trace"] + argv)
         if code != 0:

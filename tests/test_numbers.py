@@ -8,7 +8,12 @@ from hypothesis import given, strategies as st
 
 import oracles
 from setpart import numbers
-from setpart.errors import IndexOutOfRange, NegativeIndex, NonIntegerCoefficient
+from setpart.errors import (
+    IndexOutOfRange,
+    NegativeIndex,
+    NonIntegerCoefficient,
+    SizeTooLarge,
+)
 
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
@@ -210,6 +215,12 @@ class TestCatalanPartialSum:
                 )
                 assert numbers.catalan_partial_sum(n, j) == want
 
+    def test_inexact_ratio_update_raises(self, monkeypatch):
+        # C_2 taken as 1 makes the next update 1 * 2 * 5 / 4
+        monkeypatch.setattr(numbers, "catalan", lambda n: 1)
+        with pytest.raises(NonIntegerCoefficient, match="^inexact ratio update"):
+            numbers.catalan_partial_sum(4, 2)
+
     def test_window_errors(self):
         with pytest.raises(IndexOutOfRange):
             numbers.catalan_partial_sum(3, 4)
@@ -244,8 +255,8 @@ class TestSmallSequences:
         assert numbers.a000262(n) == oracles.a000262_by_weighted_count(n)
 
     def test_a000262_table_bounds(self):
-        numbers.a000262(24)
-        with pytest.raises(IndexOutOfRange):
-            numbers.a000262(25)
+        assert numbers.a000262(numbers.NUMBERS_CEILING) > 0
+        with pytest.raises(SizeTooLarge):
+            numbers.a000262(numbers.NUMBERS_CEILING + 1)
         with pytest.raises(NegativeIndex):
             numbers.a000262(-1)
