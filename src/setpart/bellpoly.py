@@ -7,11 +7,11 @@ gives its fixed-block-count part.  Both come from the multinomial formula
 over the integer partitions of n, which the test suite checks against a
 walk over every set partition: one walk, held to r parts for the
 fixed-block-count part, that divides exactly in integers; it never forms
-a rational.  A partition's weight is a sparse Monomial with one factor
-t_size per block.  The builders here make each monomial once, already
-canonical, through the unchecked Monomial._trusted, and add every part
-of a sum into one dict; the public Monomial(...) checks its input, and
-the public BellPolynomial(...) the monomial and coefficient of each term.
+a rational.  A BellPolynomial is one dict from each monomial's sorted
+(index, exponent) pair tuple to its coefficient, with no object per term.
+A Monomial is made only at the public edge: BellPolynomial(...) checks
+each term's Monomial and coefficient, coefficient() looks up a Monomial's
+pairs, and terms() wraps each key, unchecked, for printing.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .numbers import NUMBERS_CEILING, factorial
 
-# Y_n has p(n) monomials: p(60) = 966,467 take ~230 MB, p(70) over four times as many
+# Y_n has p(n) monomials: p(60) = 966,467 take ~170 MB, p(70) over four times as many
 POLY_CEILING = 60
 
 
@@ -60,15 +60,6 @@ class Monomial:
     @classmethod
     def single(cls, index: int, exponent: int = 1) -> "Monomial":
         return cls(((index, exponent),))
-
-    def times(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.pairs)
-        for i, e in other.pairs:
-            merged[i] = merged.get(i, 0) + e
-        return Monomial._trusted(tuple(sorted(merged.items())))
-
-    def max_index(self) -> int:
-        return self.pairs[-1][0] if self.pairs else 0
 
     def to_text(self) -> str:
         try:
@@ -110,15 +101,12 @@ class BellPolynomial:
                 raise MalformedInput("each term needs a Monomial, got %r" % (mono,))
             if not _is_int(coeff):
                 raise MalformedInput("coefficients must be integers, got %r" % (coeff,))
-            if coeff:
-                acc[mono] = acc.get(mono, 0) + coeff
-                if not acc[mono]:
-                    del acc[mono]
-        self._terms = acc
+            acc[mono.pairs] = acc.get(mono.pairs, 0) + coeff
+        self._terms = {pairs: c for pairs, c in acc.items() if c}
 
     @classmethod
     def _trusted(cls, terms: dict) -> "BellPolynomial":
-        # terms: Monomial -> nonzero int, owned by the result from now on
+        # terms: canonical pair tuple -> nonzero int, owned by the result
         out = object.__new__(cls)
         out._terms = terms
         return out
@@ -129,29 +117,26 @@ class BellPolynomial:
         t3.  On the sparse pairs that is descending on [(-index, exponent),
         ...]: a monomial whose pairs are a prefix of another's (exponent 0
         where the other goes on) comes after it."""
-        return sorted(
-            self._terms.items(),
-            key=lambda term: [(-i, e) for i, e in term[0].pairs],
-            reverse=True,
-        )
+        order = sorted(self._terms, key=lambda k: [(-i, e) for i, e in k], reverse=True)
+        return [(Monomial._trusted(pairs), self._terms[pairs]) for pairs in order]
 
     def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+        return self._terms.get(mono.pairs, 0)
 
     def __add__(self, other):
         if not isinstance(other, BellPolynomial):
             return NotImplemented
-        return _combination(((self, 1, None), (other, 1, None)))
+        return _combination(((self, 1, ()), (other, 1, ())))
 
     def evaluate(self, weights) -> int:
         values = _integer_weights(weights)
-        need = max((m.max_index() for m in self._terms), default=0)
+        need = max((pairs[-1][0] for pairs in self._terms if pairs), default=0)
         if need > len(values):
             raise WeightVectorTooShort("need %d weights, got %d" % (need, len(values)))
         power = {}  # (index, exponent) -> t_index^exponent, each worked out once
         total = 0
-        for mono, coeff in self._terms.items():
-            for p in mono.pairs:
+        for pairs, coeff in self._terms.items():
+            for p in pairs:
                 v = power.get(p)
                 if v is None:
                     v = power[p] = values[p[0] - 1] ** p[1]
@@ -191,19 +176,32 @@ class BellPolynomial:
         return "<BellPolynomial %s>" % (self.to_text(),)
 
 
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two sorted pair tuples, by one merge that keeps a's pairs."""
+    out = []
+    i = 0
+    for s, e in b:
+        while i < len(a) and a[i][0] < s:
+            out.append(a[i])
+            i += 1
+        if i < len(a) and a[i][0] == s:
+            e += a[i][1]
+            i += 1
+        out.append((s, e))
+    return tuple(out) + a[i:]
+
+
 def _combination(parts) -> BellPolynomial:
     """The sum of coeff * mono * poly over (poly, coeff, mono) in parts,
-    added term by term into one dict; mono None stands for 1."""
+    mono a sorted pair tuple (() for 1), added term by term into one dict."""
     acc = {}
     get = acc.get
     for poly, coeff, mono in parts:
         for m, c in poly._terms.items():
-            if mono is not None:
-                m = m.times(mono)
+            if mono:
+                m = _times(m, mono)
             acc[m] = get(m, 0) + c * coeff
-    for m in [m for m, c in acc.items() if not c]:
-        del acc[m]
-    return BellPolynomial._trusted(acc)
+    return BellPolynomial._trusted({m: c for m, c in acc.items() if c})
 
 
 def _integer_weights(weights) -> tuple:
@@ -268,10 +266,7 @@ class WeightVector:
 
 def _size_monomial(sizes, ones: int = 0) -> Monomial:
     """t_{size} per block size, times t_1 to the power ones."""
-    counts = {1: ones}
-    for size in sizes:
-        counts[size] = counts.get(size, 0) + 1
-    return Monomial(counts.items())
+    return Monomial([(1, ones), *((size, 1) for size in sizes)])
 
 
 def _bell_terms(n: int, blocks=None) -> BellPolynomial:
@@ -280,21 +275,25 @@ def _bell_terms(n: int, blocks=None) -> BellPolynomial:
     prod(r_i! (i!)^r_i) times prod t_i^r_i.  The walk picks sizes 2 and up,
     descending, with their multiplicities, carries the denominator down and
     fills the rest with ones; each leaf divides exactly (NonIntegerCoefficient
-    otherwise) into one trusted Monomial.  A block count prunes dead branches.
-    Every monomial shares its (size, multiplicity) pairs from one table."""
+    otherwise) into one pair-tuple key.  A block count prunes dead branches.
+    Every key shares its (size, multiplicity) pairs from one table, which
+    also holds the factor m! (s!)^m that each pair adds to the denominator."""
     fact = [factorial(i) for i in range(n + 1)]
-    pair = [None] + [[(s, m) for m in range(n // s + 1)] for s in range(1, n + 1)]
+    step = [None] + [
+        [((s, m), fact[m] * fact[s] ** m) for m in range(n // s + 1)]
+        for s in range(1, n + 1)
+    ]
     terms = {}
 
     def walk(total, count, top, pairs, denom):
         # parts of size at most top still sum to total, in count parts
         # unless count is None; pairs: the (size, multiplicity) pairs so far
         if count is None or count == total:
-            leaf = (pair[1][total],) + pairs if total else pairs
+            leaf = (step[1][total][0],) + pairs if total else pairs
             coeff, rem = divmod(fact[n], denom * fact[total])
             if rem:
                 raise NonIntegerCoefficient("coefficient of %r is inexact" % (leaf,))
-            terms[Monomial._trusted(leaf)] = coeff
+            terms[leaf] = coeff
         for s in range(min(top, total if count is None else total - count + 1), 1, -1):
             if count is None:
                 low, most = 1, total // s
@@ -302,10 +301,11 @@ def _bell_terms(n: int, blocks=None) -> BellPolynomial:
                 # m parts of size s leave count - m parts in [1, s - 1]
                 low = max(1, total - count * (s - 1))
                 most = min(count, (total - count) // (s - 1))
+            row = step[s]
             for m in range(low, most + 1):
                 rest = None if count is None else count - m
-                d = denom * fact[m] * fact[s] ** m
-                walk(total - m * s, rest, s - 1, (pair[s][m],) + pairs, d)
+                p, d = row[m]
+                walk(total - m * s, rest, s - 1, (p,) + pairs, denom * d)
 
     walk(n, blocks, n, (), 1)
     del walk  # walk reaches itself through its closure: free terms with the result

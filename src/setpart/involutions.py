@@ -355,7 +355,7 @@ def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
         (
             _complete(n + 1 - i),
             (-1) ** i * binomial(j, i),
-            Monomial.single(1, i) if i else None,
+            Monomial.single(1, i).pairs,
         )
         for i in range(j + 1)
     )
@@ -380,6 +380,6 @@ def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
                 binomial(n - j, a - l) * binomial(j, l) * binomial(j - l, r)
                 for l in range(low, min(a, j - r) + 1)
             )
-            mono = Monomial(((1, r), (a + 1, 1)))
+            mono = Monomial(((1, r), (a + 1, 1))).pairs
             parts.append((_complete(n - a - r), (-1) ** r * coeff, mono))
     return _combination(parts)

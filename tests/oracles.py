@@ -133,7 +133,7 @@ def weighted_binomial_by_triples(n, j):
         (
             ys[n - k - l - r],
             (-1) ** r * math.comb(n - j, k) * math.comb(j, l) * math.comb(j - l, r),
-            Monomial(((1, r), (k + l + 1, 1))),
+            Monomial(((1, r), (k + l + 1, 1))).pairs,
         )
         for k in range(n - j + 1)
         for l in range(j + 1)

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,18 +34,26 @@ class TestMonomial:
     def test_identity_element(self):
         one = Monomial.one()
         m = Monomial.single(3)
-        assert one.times(m) == m
+        assert bellpoly._times(one.pairs, m.pairs) == m.pairs
+        assert bellpoly._times(m.pairs, one.pairs) == m.pairs
         assert one.to_text() == "1"
         assert one.pairs == ()
 
     def test_max_index_and_dense_vector(self):
+        # a key's last pair holds its largest index, the weights it needs
         m = Monomial([(1, 2), (3, 1)])
-        assert m.max_index() == 3
+        assert dense_vector(m.pairs, 4) == [2, 0, 1, 0]
+        poly = BellPolynomial([(m, 1)])
+        with pytest.raises(WeightVectorTooShort, match="need 3 weights, got 2"):
+            poly.evaluate([1, 1])
+        assert poly.evaluate([2, 7, 5]) == 20
 
     def test_times_adds_exponents(self):
         a = Monomial([(1, 1), (2, 1)])
         b = Monomial([(2, 2), (5, 1)])
-        assert a.times(b) == Monomial([(1, 1), (2, 3), (5, 1)])
+        want = Monomial([(1, 1), (2, 3), (5, 1)]).pairs
+        assert bellpoly._times(a.pairs, b.pairs) == want
+        assert bellpoly._times(b.pairs, a.pairs) == want
 
     @pytest.mark.parametrize("pairs", [[(2, 0.5)], [(1.5, 2)], [(True, 2)]])
     def test_rejects_non_integer_indices_and_exponents(self, pairs):
@@ -110,8 +119,9 @@ class TestBellPolynomial:
         assert p.coefficient(Monomial([(1, 9)])) == 0
 
     def test_scaled_by_monomial_shifts_terms(self):
-        # the two weighted closed forms scale by a monomial through _combination
-        p = bellpoly._combination(((complete_bell_by_sum(2), 3, Monomial.single(1)),))
+        # the two weighted closed forms scale by a pair tuple through _combination
+        t1 = Monomial.single(1).pairs
+        p = bellpoly._combination(((complete_bell_by_sum(2), 3, t1),))
         # 3*t1*(t1^2 + t2) = 3*t1^3 + 3*t1*t2
         assert p.coefficient(Monomial([(1, 3)])) == 3
         assert p.coefficient(Monomial([(1, 1), (2, 1)])) == 3
@@ -131,18 +141,24 @@ class TestBellPolynomial:
         ]
 
 
+def dense_vector(pairs, width):
+    """The exponents of t_1..t_width in a sparse pair tuple."""
+    vec = [0] * width
+    for i, e in pairs:
+        vec[i - 1] = e
+    return vec
+
+
 def dense_order(poly):
     """The terms sorted descending lexicographic on dense exponent vectors
-    (t_1's exponent first): the reference for BellPolynomial.terms()."""
-    width = max((m.max_index() for m in poly._terms), default=0)
-
-    def key(term):
-        vec = [0] * width
-        for i, e in term[0].pairs:
-            vec[i - 1] = e
-        return [-e for e in vec]
-
-    return sorted(poly._terms.items(), key=key)
+    (t_1's exponent first), each key made a Monomial by the checking
+    constructor: the reference for BellPolynomial.terms()."""
+    width = max((i for pairs in poly._terms for i, _ in pairs), default=0)
+    order = sorted(
+        poly._terms.items(),
+        key=lambda term: [-e for e in dense_vector(term[0], width)],
+    )
+    return [(Monomial(pairs), coeff) for pairs, coeff in order]
 
 
 class TestTermOrder:
@@ -230,15 +246,53 @@ class TestBuildSharing:
     def test_monomials_share_one_object_per_pair(self):
         polys = [complete_bell_by_sum(20)] + [partial_bell(20, r) for r in range(21)]
         for poly in polys:
-            pairs = [p for mono in poly._terms for p in mono.pairs]
+            pairs = [p for key in poly._terms for p in key]
             assert len({id(p) for p in pairs}) == len(set(pairs))
 
 
-def assert_canonical(monomials):
-    """Each monomial is what the checking constructor makes of its pairs."""
-    for m in monomials:
-        assert m.pairs == Monomial(m.pairs).pairs
-        assert all(type(e) is int and e > 0 for _, e in m.pairs)
+def live_monomials():
+    return sum(isinstance(o, Monomial) for o in gc.get_objects())
+
+
+class TestTermStorage:
+    # perfbench/tracer.py counts a polynomial's terms as len(poly._terms)
+    def test_one_key_per_integer_partition(self):
+        for n in range(41):
+            poly = complete_bell_by_sum(n)
+            assert all(type(key) is tuple for key in poly._terms)
+            assert len(poly._terms) == sum(
+                oracles.partitions_into_parts(n, r) for r in range(n + 1)
+            )
+
+    def test_no_monomial_outlives_a_build(self):
+        gc.collect()
+        before = live_monomials()
+        polys = [complete_bell_by_sum(20), partial_bell(20, 6)]
+        polys += [weighted_alternating_sum(8, 3), weighted_binomial_sum(8, 3)]
+        assert live_monomials() == before
+        assert len(polys[0]._terms) == 627
+
+    def test_build_peak_memory(self):
+        # Y_40's 37,338 terms peak at 5.7 MB under tracemalloc with one
+        # pair-tuple key each (Python 3.11); a Monomial object per term
+        # took it to 7.1 MB.  A full collection first empties the tuple
+        # free lists, whose untraced tuples would otherwise hide up to
+        # 0.7 MB of keys, depending on what ran before.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            complete_bell_by_sum(40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.2e6
+
+
+def assert_canonical(keys):
+    """Each pair tuple is what the checking constructor makes of it."""
+    for pairs in keys:
+        assert pairs == Monomial(pairs).pairs
+        assert all(type(e) is int and e > 0 for _, e in pairs)
 
 
 class TestCanonicalMonomials:
@@ -246,17 +300,18 @@ class TestCanonicalMonomials:
     def test_builders_make_canonical_monomials(self, n):
         parts = [partial_bell(n, r) for r in range(n + 1)]
         for poly in parts + [complete_bell_by_sum(n)]:
-            assert_canonical(m for m, _ in poly.terms())
-        monos = [m for poly in parts for m, _ in poly.terms()]
+            assert_canonical(poly._terms)
+            assert_canonical(m.pairs for m, _ in poly.terms())
+        keys = [key for poly in parts for key in poly._terms]
         factors = [
             Monomial.one(), Monomial.single(1, 2), Monomial([(2, 1), (n + 3, 2)]),
         ]
-        factors += monos[:3]
-        for m in monos:
+        factors = [f.pairs for f in factors] + keys[:3]
+        for key in keys:
             for f in factors:
-                product = m.times(f)
+                product = bellpoly._times(key, f)
                 assert_canonical([product])
-                assert product == Monomial(m.pairs + f.pairs)
+                assert product == Monomial(key + f).pairs
 
 
 class TestPartialSplit:

@@ -1,9 +1,11 @@
 """Golden outputs, pinned byte for byte under tests/golden/: every
 `verify` token's JSON report, elapsed times removed, two failing reports
-made under falsified maps, and the text of three `trace` runs.
+made under falsified maps, the text of three `trace` runs and four
+`bellpoly` outputs.
 
 A change that alters what a checker covers, what a counterexample says,
-how a report is laid out or what `trace` prints shows up here as a diff.
+how a report is laid out or what `trace` or `bellpoly` prints shows up
+here as a diff.
 After an intended change, regenerate every file from the root of a
 checkout with
 
@@ -73,6 +75,25 @@ def _dropped_image(build):
         return build(n, j, t, rho)
 
     return dropped
+
+
+# the weights of the benchmark's `weighted` workload at seed 1
+# (perfbench/workloads.py, weights(1, 40))
+SEED_1_WEIGHTS = (
+    "-2,1,3,3,3,-3,-1,-3,0,3,0,0,2,0,3,-2,-3,0,-3,3,"
+    "0,0,1,3,3,-3,2,0,-1,2,3,-2,1,-3,-1,-3,-3,-3,2,1"
+)
+
+# golden file name -> `bellpoly` arguments: the symbolic Y_13 in each
+# format, and Y_40 evaluated at the seed-1 weights
+BELLPOLY = {
+    "bellpoly-13.json": ["--n", "13", "--format", "json"],
+    "bellpoly-13.txt": ["--n", "13", "--format", "table"],
+    "bellpoly-13.csv": ["--n", "13", "--format", "csv"],
+    "bellpoly-40-weights.json": [
+        "--n", "40", "--weights=" + SEED_1_WEIGHTS, "--format", "json",
+    ],
+}
 
 
 # golden file name -> (token, depth, the involutions map replaced, and
@@ -145,6 +166,13 @@ def test_trace_matches_golden_file(name):
     assert text == (GOLDEN / (name + ".txt")).read_text()
 
 
+@pytest.mark.parametrize("name", BELLPOLY)
+def test_bellpoly_matches_golden_file(name):
+    code, text = run(["bellpoly"] + BELLPOLY[name])
+    assert code == 0
+    assert text == (GOLDEN / name).read_text()
+
+
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     for token in DEPTHS:
@@ -162,6 +190,11 @@ def regenerate():
         if code != 0:
             raise SystemExit("trace %s failed; its text is not golden" % name)
         (GOLDEN / (name + ".txt")).write_text(text)
+    for name, argv in BELLPOLY.items():
+        code, text = run(["bellpoly"] + argv)
+        if code != 0:
+            raise SystemExit("bellpoly %s failed; its text is not golden" % name)
+        (GOLDEN / name).write_text(text)
 
 
 if __name__ == "__main__":
