@@ -24,7 +24,7 @@ from .errors import (
     WeightVectorTooShort,
     _index,
     _is_int,
-    _unprintable,
+    _printed,
 )
 from .numbers import NUMBERS_CEILING, factorial
 
@@ -62,13 +62,8 @@ class Monomial:
         return cls(((index, exponent),))
 
     def to_text(self) -> str:
-        try:
-            factors = [
-                "t%d" % i if e == 1 else "t%d^%d" % (i, e) for i, e in self.pairs
-            ]
-        except ValueError:  # past int-to-text's limit on digits
-            raise _unprintable("an index or exponent") from None
-        return "*".join(factors) or "1"
+        factors = ("t%d" % i if e == 1 else "t%d^%d" % (i, e) for i, e in self.pairs)
+        return _printed(lambda: "*".join(factors), "an index or exponent") or "1"
 
     def to_jsonable(self):
         return [list(p) for p in self.pairs]
@@ -82,10 +77,9 @@ class Monomial:
         return hash(self.pairs)
 
     def __repr__(self):
-        try:
-            return "Monomial(%r)" % (list(self.pairs),)
-        except ValueError:  # past int-to-text's limit on digits
-            raise _unprintable("an index or exponent") from None
+        return _printed(
+            lambda: "Monomial(%r)" % (list(self.pairs),), "an index or exponent"
+        )
 
 
 class BellPolynomial:
@@ -147,10 +141,7 @@ class BellPolynomial:
     def to_text(self) -> str:
         parts = []
         for mono, coeff in self.terms():
-            try:
-                mag = "%d" % abs(coeff)
-            except ValueError:  # past int-to-text's limit on digits
-                raise _unprintable("a coefficient") from None
+            mag = _printed(lambda: "%d" % abs(coeff), "a coefficient")
             if mono.pairs:
                 body = mono.to_text() if mag == "1" else mag + "*" + mono.to_text()
             else:
@@ -258,10 +249,7 @@ class WeightVector:
         return NotImplemented
 
     def __repr__(self):
-        try:
-            return "WeightVector(%r)" % (list(self.values),)
-        except ValueError:  # past int-to-text's limit on digits
-            raise _unprintable("a weight") from None
+        return _printed(lambda: "WeightVector(%r)" % (list(self.values),), "a weight")
 
 
 def _size_monomial(sizes, ones: int = 0) -> Monomial:

@@ -19,7 +19,7 @@ from .errors import (
     SetpartError,
     WeightVectorTooShort,
     _index,
-    _unprintable,
+    _printed,
 )
 from .partitions import SetPartition, _read_integers
 
@@ -115,7 +115,8 @@ def _emit(fmt, document, header, rows, lines) -> None:
     """Print one result in its --format: the JSON document, the CSV header
     and rows (fields joined by commas), or the table lines.  Only the
     chosen part is consumed, so callers pass rows and lines as generators
-    and the other formats cost nothing."""
+    and the formats not chosen print nothing; the document is built
+    before the call, whatever the format."""
     if fmt == "json":
         print(json.dumps(document, indent=2))
     elif fmt == "csv":
@@ -238,10 +239,7 @@ def _cmd_bellpoly(args) -> int:
         )
     else:
         value = poly.evaluate(weights)
-        try:
-            value = str(value)
-        except ValueError:  # past int-to-text's limit on digits
-            raise _unprintable("the value") from None
+        value = _printed(value.__str__, "the value")
         document = {"n": n, "weights": weights, "value": value}
         parts = (document, ("n", "value"), ((str(n), value),), (value,))
     _emit(args.format, *parts)

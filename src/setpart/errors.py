@@ -6,8 +6,8 @@ of the public operations.
 
 The module also holds the one rule for integer arguments: _is_int decides
 what an integer is, and _index checks every size, index, window and job
-count against it; _unprintable is the error for an integer too long to
-print.
+count against it; _printed is the one rule for printing integers, which
+refuses one too long for str() with SizeTooLarge.
 """
 
 import sys
@@ -27,10 +27,6 @@ class NegativeIndex(IndexOutOfRange):
 
 class SizeTooLarge(SetpartError, ValueError):
     """The requested exhaustive sweep exceeds the documented ceiling."""
-
-
-class NonContiguousGround(SetpartError, ValueError):
-    """A canonical word was requested for a partition whose ground set is not 1..n."""
 
 
 class InvalidRGS(SetpartError, ValueError):
@@ -53,6 +49,10 @@ class MalformedInput(SetpartError, ValueError):
     """A structured argument does not satisfy the operation's preconditions."""
 
 
+class NonContiguousGround(MalformedInput):
+    """A partition's ground set is not {1..m}, or not of the size the map needs."""
+
+
 class PreconditionViolated(SetpartError, ValueError):
     """An inverse map was applied to a value outside the forward image."""
 
@@ -63,12 +63,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _unprintable(what: str) -> SizeTooLarge:
-    """The error for an integer that str() refuses as past its digit limit."""
-    return SizeTooLarge(
-        "%s has over %d digits, too many to print"
-        % (what, sys.get_int_max_str_digits())
-    )
+def _printed(show, what: str) -> str:
+    """The text show() makes of integers.  One that str() refuses as past
+    its digit limit raises SizeTooLarge naming it as what."""
+    try:
+        return show()
+    except ValueError:  # past int-to-text's limit on digits
+        raise SizeTooLarge(
+            "%s has over %d digits, too many to print"
+            % (what, sys.get_int_max_str_digits())
+        ) from None
 
 
 def _index(value, name="n", top=None, low=0, ceiling=None):

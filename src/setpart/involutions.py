@@ -9,7 +9,9 @@ bijection, the singleton-free coding, recounts those.  The same toggle,
 weighted by block sizes, proves the polynomial identity.  The
 singleton-gathering maps behind the specialized identities are the coding
 at n = j and at n = j + 1, and the verifier checks all three with one
-checker.
+checker.  _marked is the one check of a marked pair, a SignedPair's
+(S, pi) or the coding's (T, rho); partitions._range_size is the one
+test of a partition of {1..m} that the maps take.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .bellpoly import (
 )
 from .errors import MalformedInput, PreconditionViolated, _index, _is_int
 from .numbers import binomial
-from .partitions import SetPartition, _is_range, enumerate_partitions
+from .partitions import SetPartition, _range_size, enumerate_partitions
 
 CARRIER_CEILING = 10
 SYMBOLIC_CEILING = 7
@@ -48,19 +50,9 @@ class SignedPair:
 
     def __init__(self, n: int, j: int, S, pi: SetPartition):
         _index(j, "j", top=_index(n))
-        marks = tuple(S)
-        if not all(_is_int(e) and 1 <= e <= j for e in marks):
-            raise MalformedInput("marked elements must lie in {1..%d}" % j)
-        s = frozenset(marks)
-        # sizes first, so the check costs no more than the input
-        ground = pi.ground
-        if len(ground) != n + 1 - len(s) or ground != _without(n + 1, s):
-            raise MalformedInput(
-                "partition ground must be {1..%d} minus the marked set" % (n + 1)
-            )
         self.n = n
         self.j = j
-        self.S = s
+        self.S = _marked(n + 1, 1, j, S, pi, "S", "pi")
         self.pi = pi
 
     @property
@@ -172,6 +164,25 @@ def _without(size: int, x: frozenset) -> tuple:
     return tuple(filterfalse(x.__contains__, range(1, size + 1)))
 
 
+def _marked(size, low, high, marks, pi, mark_name, part_name) -> frozenset:
+    """The marks as a frozenset: the one check of a marked pair.  Each
+    mark must be an int inside the window {low..high}, and pi must
+    partition {1..size} minus the marks; mark_name and part_name name
+    the two in the messages."""
+    marks = tuple(marks)
+    for e in marks:  # exact ints skip the call
+        if type(e) is not int and not _is_int(e) or not low <= e <= high:
+            raise MalformedInput("%s must lie in {%d..%d}" % (mark_name, low, high))
+    s = frozenset(marks)
+    # sizes first, so the check costs no more than the input
+    ground = pi.ground
+    if len(ground) != size - len(s) or ground != _without(size, s):
+        raise MalformedInput(
+            "%s must partition {1..%d} minus %s" % (part_name, size, mark_name)
+        )
+    return s
+
+
 def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
     """Assemble a partition of {1..n+1} with no singleton inside {1..j}.
 
@@ -180,14 +191,7 @@ def build_singleton_free(n: int, j: int, T, rho: SetPartition) -> SetPartition:
     them.
     """
     _index(j, "j", top=_index(n))
-    entries = tuple(T)
-    for e in entries:  # exact ints skip the call
-        if type(e) is not int and not _is_int(e) or not j < e <= n:
-            raise MalformedInput("T must lie in {%d..%d}" % (j + 1, n))
-    t = frozenset(entries)
-    ground = rho.ground
-    if len(ground) != n - len(t) or ground != _without(n, t):
-        raise MalformedInput("rho must partition {1..%d} minus T" % n)
+    t = _marked(n, j + 1, n, T, rho, "T", "rho")
     return _gather_low_singletons(rho.blocks, j, sorted(t) + [n + 1])
 
 
@@ -217,8 +221,7 @@ def split_singleton_free(
     dropped.
     """
     _index(j, "j", top=_index(n))
-    if len(p.ground) != n + 1 or not _is_range(p.ground):
-        raise MalformedInput("p must partition {1..%d}" % (n + 1))
+    _range_size(p, n + 1)
     blocks = p.blocks
     for a, b in enumerate(blocks):
         if len(b) == 1 and b[0] <= j:
@@ -239,9 +242,7 @@ def split_singleton_free(
 def gather_singletons(src: SetPartition) -> SetPartition:
     """Send a partition of {1..j} to one of {1..j+1} with no singleton
     in {1..j}: all singletons join a new block with j+1."""
-    if not _is_range(src.ground):
-        raise MalformedInput("source must partition {1..j}")
-    j = len(src.ground)
+    j = _range_size(src)
     return _gather_low_singletons(src.blocks, j, [j + 1])
 
 
@@ -255,13 +256,8 @@ def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
     j+2 share a block.
     """
     _index(j, "j")
-    if not _is_range(src.ground):
-        raise MalformedInput("source must partition {1..j} or {1..j+1}")
-    size = len(src.ground)
-    if size not in (j, j + 1):
-        raise MalformedInput(
-            "source has %d elements; expected %d or %d" % (size, j, j + 1)
-        )
+    # {1..j} or {1..j+1}: a ground of more than j elements must be the second
+    size = _range_size(src, j if len(src.ground) <= j else j + 1)
     larger = [j + 1, j + 2] if size == j else [j + 2]
     return _gather_low_singletons(src.blocks, j, larger)
 
@@ -284,8 +280,7 @@ def classify_cd(p: SetPartition, j: int) -> Tuple[ClassLabel, ...]:
     """The class labels holding p, C label first; empty when p is in
     neither kind of class."""
     _index(j, "j", low=2)  # the classes are defined from j = 2
-    if len(p.ground) != j or not _is_range(p.ground):
-        raise MalformedInput("p must partition {1..%d}" % j)
+    _range_size(p, j)
     singles = set(p.singleton_elements())
     run = 0
     while run < j and (j - run) in singles:

@@ -20,6 +20,9 @@ WORD_CEILING = 14
 # is_noncrossing's worst word at this length, 1 2 ... 2000 2000 ... 2 1,
 # takes ~0.25 s (2 shared CPUs, Python 3.11)
 NONCROSSING_CEILING = 4000
+# is_noncrossing_bruteforce's worst word found at this length, 1^45 2^45
+# 1^90, takes ~0.21 s (2 shared CPUs, Python 3.11)
+BRUTEFORCE_CEILING = 180
 
 
 class CoverMask(NamedTuple):
@@ -29,9 +32,10 @@ class CoverMask(NamedTuple):
 
 
 def is_noncrossing_bruteforce(w) -> bool:
-    """Quartic scan over index quadruples; the reference definition."""
+    """Quartic scan over index quadruples; the reference definition.  The
+    length is capped at BRUTEFORCE_CEILING."""
     letters = _word_letters(w)
-    n = len(letters)
+    n = _index(len(letters), "length", ceiling=BRUTEFORCE_CEILING)
     for i in range(n):
         for j in range(i + 1, n):
             if letters[j] <= letters[i]:

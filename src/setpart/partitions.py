@@ -20,7 +20,7 @@ from .errors import (
     NonContiguousGround,
     _index,
     _is_int,
-    _unprintable,
+    _printed,
 )
 
 ENUMERATION_CEILING = 13  # B(13) = 27,644,437 words, walked one by one
@@ -62,12 +62,6 @@ def _ground(source) -> tuple:
             raise MalformedInput("duplicate ground element %d" % (a,))
     _index(len(elems), ceiling=ENUMERATION_CEILING)
     return elems
-
-
-def _is_range(ground: tuple) -> bool:
-    """True when the ground is exactly {1..n} for some n >= 0."""
-    # sorted, distinct and >= 1: {1..n} exactly when the largest is n
-    return not ground or ground[-1] == len(ground)
 
 
 class SetPartition:
@@ -117,10 +111,10 @@ class SetPartition:
         return cls([] if blocks == [()] else blocks)
 
     def to_text(self) -> str:
-        try:
-            return "/".join(",".join(str(e) for e in b) for b in self.blocks)
-        except ValueError:  # past int-to-text's limit on digits
-            raise _unprintable("an element") from None
+        return _printed(
+            lambda: "/".join(",".join(str(e) for e in b) for b in self.blocks),
+            "an element",
+        )
 
     def to_jsonable(self):
         """Sorted list-of-lists form used by the command-line output."""
@@ -278,17 +272,27 @@ def count_partitions(ground) -> int:
     return _kernels.count_rgs(len(_ground(ground)))
 
 
+def _range_size(p: SetPartition, size=None) -> int:
+    """The m for which p partitions {1..m}, which must equal size when
+    one is given: the one test of a ground for {1..m}.  Any other ground
+    raises NonContiguousGround."""
+    ground = p.ground
+    m = len(ground)
+    # sorted, distinct and >= 1: {1..m} exactly when the largest is m
+    if ground and ground[-1] != m or size is not None and m != size:
+        raise NonContiguousGround(
+            "need a partition of {1..%s}" % ("m" if size is None else size)
+        )
+    return m
+
+
 def to_rgs(p: SetPartition) -> RGS:
     """Canonical growth-string encoding of a partition of [n].
 
     Raises NonContiguousGround for any other ground set, which has no
     canonical word.
     """
-    if not _is_range(p.ground):
-        raise NonContiguousGround(
-            "only partitions of {1,...,n} have a growth-string form"
-        )
-    n = len(p.ground)
+    n = _range_size(p)
     word = [0] * n
     for idx, block in enumerate(p.blocks, start=1):
         for e in block:

@@ -54,7 +54,11 @@ from setpart.involutions import (
     weighted_binomial_sum,
     weighted_carrier_sum,
 )
-from setpart.noncrossing import NONCROSSING_CEILING
+from setpart.noncrossing import (
+    BRUTEFORCE_CEILING,
+    NONCROSSING_CEILING,
+    is_noncrossing_bruteforce,
+)
 from setpart.numbers import NUMBERS_CEILING
 from setpart.partitions import ENUMERATION_CEILING, _ground
 
@@ -300,6 +304,20 @@ def test_is_noncrossing_stops_at_its_length_ceiling():
         _refused_at_once(
             lambda: is_noncrossing((1,) * length),
             "length is capped at %d" % (NONCROSSING_CEILING,),
+        )
+
+
+def test_is_noncrossing_bruteforce_stops_at_its_length_ceiling():
+    # the worst word found for the quartic scan is 1^q 2^q 1^2q: every
+    # 1 before the 2s pairs with every 2 and every later 1, and each
+    # such triple scans the rest of the word
+    q = BRUTEFORCE_CEILING // 4
+    word = (1,) * q + (2,) * q + (1,) * (BRUTEFORCE_CEILING - 2 * q)
+    assert is_noncrossing_bruteforce(word)
+    for length in (BRUTEFORCE_CEILING + 1, 10**6):
+        _refused_at_once(
+            lambda: is_noncrossing_bruteforce((1,) * length),
+            "length is capped at %d" % (BRUTEFORCE_CEILING,),
         )
 
 

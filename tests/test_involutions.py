@@ -10,6 +10,7 @@ from setpart.bellpoly import BellPolynomial, Monomial
 from setpart.errors import (
     IndexOutOfRange,
     MalformedInput,
+    NonContiguousGround,
     PreconditionViolated,
     SizeTooLarge,
 )
@@ -28,7 +29,7 @@ from setpart.involutions import (
     weighted_binomial_sum,
     weighted_carrier_sum,
 )
-from setpart.partitions import SetPartition, enumerate_partitions
+from setpart.partitions import SetPartition, enumerate_partitions, to_rgs
 
 
 def unsigned_carrier_count(n, j):
@@ -77,7 +78,8 @@ class TestSignedPair:
     def test_rejects_ground_of_right_size_and_wrong_elements(self):
         # {1..4} has four elements, as does {1, 2, 3, 5}
         pi = SetPartition.from_text("1,2/3,5")
-        with pytest.raises(MalformedInput, match="minus the marked set"):
+        ground = r"^pi must partition \{1\.\.4\} minus S$"
+        with pytest.raises(MalformedInput, match=ground):
             SignedPair(3, 1, frozenset(), pi)
 
     def test_huge_n_is_rejected_at_input_cost(self):
@@ -101,6 +103,58 @@ def test_validating_constructors_take_only_ints(build):
     # sorting a block of mixed types raises TypeError
     with pytest.raises(MalformedInput):
         build()
+
+
+@pytest.mark.parametrize(
+    "apply, good, bad",
+    [
+        (to_rgs, ["1,2/3"], ["1/3", "2,3"]),
+        (
+            lambda p: split_singleton_free(2, 1, p),
+            ["1,3/2"],
+            ["1,4/2", "1,2", "1,2,3,4"],
+        ),
+        (gather_singletons, ["1/2"], ["1/3", "2"]),
+        (
+            lambda p: gather_singletons_two(p, 2),
+            ["1,2", "1/2,3"],
+            ["1/3", "1", "1,2,3,4"],
+        ),
+        (lambda p: classify_cd(p, 3), ["1,2,3"], ["1,2/4", "1,2", "1/2/3/4"]),
+    ],
+    ids=[
+        "to_rgs", "split_singleton_free", "gather_singletons",
+        "gather_singletons_two", "classify_cd",
+    ],
+)
+def test_maps_of_one_to_m_refuse_any_other_ground(apply, good, bad):
+    # partitions._range_size is the one test: a ground with a gap, or of
+    # a size the map does not take, is a NonContiguousGround, which is a
+    # MalformedInput
+    for text in good:
+        apply(SetPartition.from_text(text))
+    for text in bad:
+        with pytest.raises(MalformedInput) as err:
+            apply(SetPartition.from_text(text))
+        assert err.type is NonContiguousGround, text
+
+
+@pytest.mark.parametrize(
+    "build, marks, text, message",
+    [
+        (SignedPair, {2}, "1/3,4", "S must lie in {1..1}"),
+        (SignedPair, {1}, "2/3", "pi must partition {1..4} minus S"),
+        (build_singleton_free, {1}, "2/3", "T must lie in {2..3}"),
+        (build_singleton_free, {2}, "1/2", "rho must partition {1..3} minus T"),
+    ],
+    ids=["S", "pi", "T", "rho"],
+)
+def test_marked_pairs_name_their_marks_and_partition(build, marks, text, message):
+    # involutions._marked is the one check of a marked pair, under the
+    # paper's names: S and pi for a signed pair, T and rho for the coding
+    with pytest.raises(MalformedInput) as err:
+        build(3, 1, marks, SetPartition.from_text(text))
+    assert str(err.value) == message
 
 
 class TestWorkedExample:
@@ -290,7 +344,8 @@ class TestSingletonFreeCoding:
     )
     def test_build_rejects_each_entry_outside_the_tail(self, n, j, T, rho):
         # the message tells the check on T apart from the check on rho
-        with pytest.raises(MalformedInput, match="^T must lie in"):
+        tail = r"^T must lie in \{%d\.\.%d\}$" % (j + 1, n)
+        with pytest.raises(MalformedInput, match=tail):
             build_singleton_free(n, j, T, SetPartition.from_text(rho))
 
     def test_huge_n_is_rejected_at_input_cost(self):

@@ -17,7 +17,7 @@ from setpart.partitions import (
     RGS,
     SetPartition,
     _ground,
-    _is_range,
+    _range_size,
     block_containing,
     count_partitions,
     enumerate_partitions,
@@ -60,13 +60,13 @@ class TestGroundSet:
         assert _ground([5, 2, 4]) == (2, 4, 5)
         assert SetPartition([[5], [4, 2]]).ground == (2, 4, 5)
         assert {p.ground for p in enumerate_partitions([5, 2, 4])} == {(2, 4, 5)}
-        assert not _is_range(_ground([5, 2, 4]))
         for ground in ([1, 2, 3], 0, []):
-            assert _is_range(_ground(ground))
-        for gaps in ([2], [1, 3], [2, 3]):
-            assert not _is_range(_ground(gaps))
-            with pytest.raises(NonContiguousGround):
-                to_rgs(SetPartition([gaps]))
+            for p in enumerate_partitions(ground):
+                assert _range_size(p) == len(_ground(ground))
+        for gaps in ([5, 2, 4], [2], [1, 3], [2, 3]):
+            for check in (_range_size, to_rgs):
+                with pytest.raises(NonContiguousGround):
+                    check(SetPartition([gaps]))
 
     def test_of_groundset_is_identity(self):
         g = _ground([3, 1])
@@ -161,7 +161,7 @@ class TestSetPartition:
                 SetPartition(iter(map(iter, shuffled))),  # one pass each
                 SetPartition.from_text(p.to_text()),
             ]
-            if _is_range(g):
+            if isinstance(ground, int):  # only {1..n} has growth strings
                 routes.append(from_rgs(to_rgs(p)))
             for q in routes:
                 assert q == p and hash(q) == hash(p)

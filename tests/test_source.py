@@ -42,12 +42,14 @@ def test_cli_reads_integer_flags_with_the_package_reader():
     assert found == []
 
 
+def name(node):
+    """The bare name a call's function or an isinstance type is read by."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def test_errors_alone_decides_what_an_integer_is():
     # errors._is_int and errors._index are the one rule for integer
     # arguments: no other module tests for bool or raises NegativeIndex
-    def name(node):
-        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "errors.py":
@@ -63,6 +65,24 @@ def test_errors_alone_decides_what_an_integer_is():
                 if "bool" in map(name, kinds):
                     found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# each rule's one home: errors._printed alone reads the digit limit of
+# int-to-text, and partitions._range_size alone raises NonContiguousGround
+RULE_HOMES = {
+    "get_int_max_str_digits": "errors.py",
+    "NonContiguousGround": "partitions.py",
+}
+
+
+def test_each_boundary_rule_is_called_from_its_home_alone():
+    callers = {
+        (name(node.func), path.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and name(node.func) in RULE_HOMES
+    }
+    assert sorted(callers) == sorted(RULE_HOMES.items())
 
 
 # stdlib packages whose import costs a command's start-up more than the
