@@ -18,6 +18,8 @@ each name sees every word once.  ``NAME`` labels the implementation in
 benchmark records.
 """
 
+from .errors import _index
+
 NAME = "pure"
 
 
@@ -29,8 +31,7 @@ def iter_rgs(n):
     runs through 1..max(prefix) + 1; between runs an odometer raises the
     last prefix letter that may grow and resets every letter after it to 1.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    _index(n, "word length")
     if n == 0:
         yield ()
         return
@@ -63,8 +64,7 @@ def _count_words(n, closing, adj_prefix, cyclic):
     1 <= i <= adj_prefix, may not repeat letter i - 1 (the stack top under
     ``closing``), and with ``cyclic`` the last letter may not be 1.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    _index(n, "word length")
     if n == 0:
         return 1
 
@@ -86,8 +86,7 @@ def _count_words(n, closing, adj_prefix, cyclic):
 
 def iter_noncrossing(n):
     """Yield the 1212-avoiding growth strings of length n, lazily, in lex order."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    _index(n, "word length")
     return _extend(n, (), (), 0)
 
 

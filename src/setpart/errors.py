@@ -29,10 +29,6 @@ class SizeTooLarge(SetpartError, ValueError):
     """The requested exhaustive sweep exceeds the documented ceiling."""
 
 
-class InvalidRGS(SetpartError, ValueError):
-    """A word violates the restricted-growth invariants."""
-
-
 class ElementNotInGround(SetpartError, ValueError):
     """An element lookup fell outside the partition's ground set."""
 
@@ -47,6 +43,10 @@ class NonIntegerCoefficient(SetpartError, ArithmeticError):
 
 class MalformedInput(SetpartError, ValueError):
     """A structured argument does not satisfy the operation's preconditions."""
+
+
+class InvalidRGS(MalformedInput):
+    """A word violates the restricted-growth invariants."""
 
 
 class NonContiguousGround(MalformedInput):

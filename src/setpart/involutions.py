@@ -168,12 +168,14 @@ def _marked(size, low, high, marks, pi, mark_name, part_name) -> frozenset:
     """The marks as a frozenset: the one check of a marked pair.  Each
     mark must be an int inside the window {low..high}, and pi must
     partition {1..size} minus the marks; mark_name and part_name name
-    the two in the messages."""
+    the two in the messages.  A repeated mark is refused."""
     marks = tuple(marks)
     for e in marks:  # exact ints skip the call
         if type(e) is not int and not _is_int(e) or not low <= e <= high:
             raise MalformedInput("%s must lie in {%d..%d}" % (mark_name, low, high))
     s = frozenset(marks)
+    if len(s) != len(marks):
+        raise MalformedInput("%s must not repeat an element" % (mark_name,))
     # sizes first, so the check costs no more than the input
     ground = pi.ground
     if len(ground) != size - len(s) or ground != _without(size, s):

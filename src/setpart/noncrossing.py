@@ -34,8 +34,8 @@ class CoverMask(NamedTuple):
 def is_noncrossing_bruteforce(w) -> bool:
     """Quartic scan over index quadruples; the reference definition.  The
     length is capped at BRUTEFORCE_CEILING."""
-    letters = _word_letters(w)
-    n = _index(len(letters), "length", ceiling=BRUTEFORCE_CEILING)
+    letters = _word_letters(w, BRUTEFORCE_CEILING)
+    n = len(letters)
     for i in range(n):
         for j in range(i + 1, n):
             if letters[j] <= letters[i]:
@@ -57,8 +57,7 @@ def is_noncrossing(w) -> bool:
     valid for arbitrary words, not only growth strings.  Quadratic at
     worst, so the length is capped at NONCROSSING_CEILING.
     """
-    letters = _word_letters(w)
-    _index(len(letters), "length", ceiling=NONCROSSING_CEILING)
+    letters = _word_letters(w, NONCROSSING_CEILING)
     last = {c: k for k, c in enumerate(letters)}
     prev = {}
     for k, a in enumerate(letters):

@@ -49,8 +49,6 @@ def _ground(source) -> tuple:
     none repeated.  Either refuses a size past ENUMERATION_CEILING, an
     int n before {1..n} is built."""
     if not hasattr(source, "__iter__"):
-        if not _is_int(source) or source < 0:
-            raise MalformedInput("ground size must be a nonnegative integer")
         source = range(1, _index(source, ceiling=ENUMERATION_CEILING) + 1)
     raw = tuple(source)
     for e in raw:  # before sorting, which mixed types would break
@@ -196,15 +194,26 @@ class RGS:
         return "RGS(%r)" % (list(self.word),)
 
 
-def _word_letters(w) -> tuple:
+def _word_letters(w, ceiling=None) -> tuple:
     """The letters of a word given as an RGS, as text (see RGS.from_text)
-    or as any sequence of ints; only text is checked here."""
+    or as a sequence of ints (bool excluded, any sign).  A length past
+    ceiling raises SizeTooLarge before any letter is read; a word that is
+    not a sequence, or a letter that is not an int, raises MalformedInput."""
     if isinstance(w, RGS):
-        return w.word
-    if not isinstance(w, str):
-        return tuple(w)
-    text = w.replace(" ", "").replace("\t", "")
-    return _read_integers(text if "," in text else ",".join(text), "word")
+        letters = w.word
+    elif isinstance(w, str):
+        text = w.replace(" ", "").replace("\t", "")
+        letters = _read_integers(text if "," in text else ",".join(text), "word")
+    elif isinstance(w, Sequence):
+        letters = tuple(w)
+    else:
+        raise MalformedInput("a word must be a sequence, not %s" % (type(w).__name__,))
+    if ceiling is not None:
+        _index(len(letters), "length", ceiling=ceiling)
+    for c in letters:
+        if type(c) is not int and not _is_int(c):  # exact ints skip the call
+            raise MalformedInput("letter %r is not an integer" % (c,))
+    return letters
 
 
 def _blocks_of_word(word, elements) -> tuple:

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from typing import Callable, NamedTuple, Optional
 
 from . import involutions, noncrossing, numbers, partitions
-from .errors import IndexOutOfRange, SizeTooLarge, _index
+from .errors import IndexOutOfRange, MalformedInput, SizeTooLarge, _index, _is_int
 
 MODES = ("closed-form", "enumerative", "both")
 
@@ -231,8 +231,11 @@ def run_identity(
     order (largest n first); the report order is the planned order
     either way.  A cell whose helper was killed or exited non-zero before
     reporting it fails, with the helper's exit as its counterexample.
+    The seed is a label: any int, of any sign.
     """
     _index(jobs, "jobs", low=1)
+    if not _is_int(seed):
+        raise MalformedInput("seed must be an integer, got %r" % (seed,))
     if max_n is None:
         max_n = default_max_n(identity, mode)
     start = time.perf_counter()

@@ -32,12 +32,15 @@ from setpart import (
     count_noncrossing,
     count_partitions,
     count_prefix_smirnov_noncrossing,
+    covering_reduction,
     derangement,
     enumerate_carrier,
     enumerate_noncrossing,
     enumerate_partitions,
     factorial,
+    from_rgs,
     gather_singletons_two,
+    is_cyclic_smirnov,
     is_noncrossing,
     partial_bell,
     run_identity,
@@ -65,21 +68,6 @@ from setpart.partitions import ENUMERATION_CEILING, _ground
 P = SetPartition.from_text
 
 
-class GroundSet:
-    """The two ways a ground is given, as the former GroundSet class read
-    them, both now partitions._ground."""
-
-    @staticmethod
-    def range_n(n):
-        """{1..n} from its size n."""
-        return _ground(n)
-
-    @staticmethod
-    def of(source):
-        """A ground from its size or from an iterable of its elements."""
-        return _ground(source)
-
-
 def one_block(*elements):
     """SetPartition([elements]): the integer arguments of a partition are
     its elements, and the ground is their union."""
@@ -91,9 +79,9 @@ one_block.__qualname__ = SetPartition.__qualname__  # the case ids name the clas
 
 # (name, callable, valid arguments, positions of the integer arguments,
 # and optionally what -1 in such a position raises when that is not an
-# IndexOutOfRange: a ground size raises MalformedInput, as a bad element
-# does, and None marks binomial's zero-outside rule); a name outside
-# setpart.__all__ has a module prefix
+# IndexOutOfRange: an element below 1 raises MalformedInput, and None
+# marks binomial's zero-outside rule); a name outside setpart.__all__ has
+# a module prefix
 ARGUMENTS = [
     ("a000262", a000262, (3,), (0,)),
     ("bell", bell, (3,), (0,)),
@@ -107,11 +95,10 @@ ARGUMENTS = [
     ("factorial", factorial, (3,), (0,)),
     ("singleton_identity_lhs", singleton_identity_lhs, (3, "pair"), (0,)),
     ("singleton_identity_rhs", singleton_identity_rhs, (3, "pair"), (0,)),
-    ("partitions._ground", GroundSet.range_n, (3,), (0,), MalformedInput),
-    ("partitions._ground", GroundSet.of, (3,), (0,), MalformedInput),
+    ("partitions._ground", _ground, (3,), (0,)),
     ("SetPartition", one_block, (1, 2), (0,), MalformedInput),
-    ("count_partitions", count_partitions, (3,), (0,), MalformedInput),
-    ("enumerate_partitions", enumerate_partitions, (3,), (0,), MalformedInput),
+    ("count_partitions", count_partitions, (3,), (0,)),
+    ("enumerate_partitions", enumerate_partitions, (3,), (0,)),
     ("block_containing", block_containing, (P("1/2"), 1), (1,)),
     ("Monomial", Monomial.single, (2, 1), (0, 1)),
     ("WeightVector", WeightVector.ones, (3,), (0,)),
@@ -215,6 +202,48 @@ def test_minus_one_is_out_of_range(fn, args, negative):
     else:
         with pytest.raises(negative):
             _call(fn, args)
+
+
+def test_run_identity_seed_is_any_int():
+    # a seed is a label: any sign is valid, anything but an int is not
+    assert run_identity("nc-catalan", 1, seed=-1).seed == -1
+    for seed in ("x", True, 2.5, None):
+        with pytest.raises(MalformedInput, match="^seed must be an integer, got "):
+            run_identity("nc-catalan", 1, seed=seed)
+
+
+# every public reader of a word given as text, an RGS or a sequence
+WORD_READERS = [
+    is_noncrossing,
+    is_noncrossing_bruteforce,
+    is_cyclic_smirnov,
+    covering_reduction,
+    from_rgs,
+]
+
+
+@pytest.mark.parametrize("read", WORD_READERS, ids=lambda f: f.__name__)
+def test_word_readers_take_a_sequence_of_ints_alone(read):
+    read([1, 2, 1])
+    for word, message in (
+        (None, "a word must be a sequence, not NoneType"),
+        (5, "a word must be a sequence, not int"),
+        (iter([1]), "a word must be a sequence, not list_iterator"),
+        ([1, "a", 1, "a"], "letter 'a' is not an integer"),
+        ([1, 2.5, 1, 2.5], "letter 2.5 is not an integer"),
+        ([True, 2], "letter True is not an integer"),
+    ):
+        with pytest.raises(MalformedInput) as err:
+            read(word)
+        assert str(err.value) == message
+
+
+def test_word_letters_may_have_any_sign():
+    # the predicates take arbitrary words, as _read_integers reads signed text
+    assert is_noncrossing([-1, 3, -1]) and is_noncrossing("-1,3,-1")
+    for check in (is_noncrossing, is_noncrossing_bruteforce):
+        assert not check([-2, -1, -2, -1])
+    assert is_cyclic_smirnov([-1, 2]) and not is_cyclic_smirnov([-1, -1])
 
 
 @pytest.mark.parametrize(

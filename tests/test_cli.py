@@ -346,6 +346,14 @@ class TestTrace:
         )
         assert code == 2
 
+    def test_repeated_mark_is_usage_error(self, capsys):
+        # S is a set: a repeated mark is refused, not merged
+        code, out, err = run_cli(
+            capsys, "trace", "--n", "2", "--j", "1", "--S", "1,1", "--pi", "2/3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: S must not repeat an element\n"
+
 
 class TestBellpoly:
     def test_symbolic_text(self, capsys):

@@ -146,8 +146,10 @@ def test_maps_of_one_to_m_refuse_any_other_ground(apply, good, bad):
         (SignedPair, {1}, "2/3", "pi must partition {1..4} minus S"),
         (build_singleton_free, {1}, "2/3", "T must lie in {2..3}"),
         (build_singleton_free, {2}, "1/2", "rho must partition {1..3} minus T"),
+        (SignedPair, [1, 1], "2,3,4", "S must not repeat an element"),
+        (build_singleton_free, [2, 2], "1/3", "T must not repeat an element"),
     ],
-    ids=["S", "pi", "T", "rho"],
+    ids=["S", "pi", "T", "rho", "S-repeated", "T-repeated"],
 )
 def test_marked_pairs_name_their_marks_and_partition(build, marks, text, message):
     # involutions._marked is the one check of a marked pair, under the

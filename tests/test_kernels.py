@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from setpart import _kernels
+from setpart.errors import MalformedInput, NegativeIndex
 from setpart.noncrossing import is_noncrossing_bruteforce
 
 
@@ -128,6 +129,16 @@ class TestCountsMatchStreams:
 def test_negative_length_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("length, error", [(-1, NegativeIndex), (2.5, MalformedInput)])
+def test_word_length_follows_the_package_rule(length, error):
+    # errors._index checks a word length as it checks every size
+    walks = [_kernels.iter_rgs, _kernels.iter_noncrossing, _kernels.count_rgs]
+    for walk in walks:
+        with pytest.raises(error, match="^word length "):
+            out = walk(length)
+            list(out)
 
 
 def test_kernels_leave_no_cyclic_garbage():

@@ -10,6 +10,7 @@ from setpart.errors import (
     ElementNotInGround,
     InvalidRGS,
     MalformedInput,
+    NegativeIndex,
     NonContiguousGround,
     SizeTooLarge,
 )
@@ -38,10 +39,10 @@ GROUND_READERS = [
 ]
 
 
-def assert_every_reader_refuses(cases):
+def assert_every_reader_refuses(cases, error=MalformedInput):
     for bad, message in cases:
         for read in GROUND_READERS:
-            with pytest.raises(MalformedInput) as err:
+            with pytest.raises(error) as err:
                 read(bad)
             assert str(err.value) == message
 
@@ -82,15 +83,16 @@ class TestGroundSet:
                 ([-2], "ground elements must be integers >= 1"),
                 ([1, 1, 2], "duplicate ground element 1"),
                 (["a"], "ground elements must be integers >= 1"),
-                (-1, "ground size must be a nonnegative integer"),
             ]
         )
+        # a size goes through errors._index, like every other size
+        assert_every_reader_refuses([(-1, "n must be nonnegative")], NegativeIndex)
 
     def test_rejects_bool_elements(self):
         assert_every_reader_refuses(
             [
                 ([True, 2], "ground elements must be integers >= 1"),
-                (True, "ground size must be a nonnegative integer"),
+                (True, "n must be an integer, got True"),
             ]
         )
 

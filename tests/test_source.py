@@ -67,6 +67,34 @@ def test_errors_alone_decides_what_an_integer_is():
     assert found == []
 
 
+def raised(node, scope=None):
+    """(scope, kind) for each raise under node that names what it raises:
+    the name of the innermost function around it, and the bare name of
+    the class.  A bare raise passes on an error it caught, so it is
+    skipped."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield scope, name(exc)
+        inner = child.name if isinstance(child, ast.FunctionDef) else scope
+        yield from raised(child, inner)
+
+
+def test_every_raise_names_a_package_error():
+    # errors.py defines every exception the package raises, so one
+    # SetpartError clause catches them all; the one other is argparse's
+    # own, which cli._integer raises for argparse to report
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    found = [
+        (path.name, scope, kind)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, kind in raised(ast.parse(path.read_text(), str(path)))
+        if kind not in defined
+    ]
+    assert found == [("cli.py", "_integer", "ArgumentTypeError")]
+
+
 # each rule's one home: errors._printed alone reads the digit limit of
 # int-to-text, and partitions._range_size alone raises NonContiguousGround
 RULE_HOMES = {

@@ -12,7 +12,7 @@ import setpart.numbers as numbers_mod
 from setpart import _kernels, cli, involutions, verify
 from setpart.bellpoly import BellPolynomial, Monomial
 from setpart.errors import IndexOutOfRange, SizeTooLarge
-from setpart.partitions import SetPartition, block_containing
+from setpart.partitions import SetPartition, block_containing, enumerate_partitions
 
 
 SMALL_DEPTH = {
@@ -717,3 +717,111 @@ class TestFalsifiedOracle:
         report = verify.run_identity("thm2", max_n=10, mode="closed-form")
         assert len(report.failures()) == len(report.cells) == 66
         assert all(set(c.counterexample) == {"lhs", "rhs"} for c in report.failures())
+
+    @staticmethod
+    def off_at(monkeypatch, name, at):
+        """numbers.name reads one too high where its first argument is at."""
+        orig = getattr(numbers_mod, name)
+        monkeypatch.setattr(
+            numbers_mod, name, lambda k, *rest: orig(k, *rest) + (k == at)
+        )
+
+    @staticmethod
+    def counterexamples(report):
+        return [(c.params, c.counterexample) for c in report.failures()]
+
+    @pytest.mark.parametrize(
+        "mode, side, keys",
+        [
+            ("closed-form", "bell_binomial_sum", {"lhs", "rhs"}),
+            ("enumerative", "bell_binomial_sum", {"signed_sum", "rhs"}),
+            ("enumerative", "bell_alternating_sum", {"signed_sum", "lhs"}),
+        ],
+        ids=["closed", "sweep-vs-rhs", "sweep-vs-lhs"],
+    )
+    def test_thm1_names_each_disagreement(self, monkeypatch, mode, side, keys):
+        # the closed half compares the two sides, the sweep compares the
+        # signed carrier count with each side in turn
+        self.off_at(monkeypatch, side, 3)
+        report = verify.run_identity("thm1", max_n=4, mode=mode)
+        bad = report.failures()
+        assert [c.params for c in bad] == [{"n": 3, "j": j} for j in range(4)]
+        assert all(set(c.counterexample) == keys for c in bad)
+
+    @pytest.mark.parametrize("identity", ["cor2", "cor3", "cor4"])
+    def test_corollary_closed_half_compares_its_sides(self, monkeypatch, identity):
+        self.off_at(monkeypatch, "singleton_identity_rhs", 3)
+        report = verify.run_identity(identity, max_n=4, mode="closed-form")
+        assert [(c.params, set(c.counterexample)) for c in report.failures()] == [
+            ({"j": 3}, {"lhs", "rhs"})
+        ]
+
+    def test_involution_counts_are_checked_against_the_closed_form(
+        self, monkeypatch
+    ):
+        # partner is sound, so only signed == fixed == rhs can fail
+        self.off_at(monkeypatch, "bell_binomial_sum", 3)
+        report = verify.run_identity("involution", max_n=3)
+        bad = report.failures()
+        assert [c.params for c in bad] == [{"n": 3, "j": j} for j in range(4)]
+        for c in bad:
+            rhs = int(c.counterexample["rhs"])
+            assert c.counterexample["signed_sum"] == c.counterexample["fixed_count"]
+            assert c.counterexample["fixed_count"] == str(rhs - 1)
+
+    @staticmethod
+    def relabel(monkeypatch, change):
+        """classify_cd, with the labels of the first partition of {1..4}
+        that carries C_3 (the top class at j = 4) passed through change."""
+        orig = involutions.classify_cd
+        c3 = involutions.ClassLabel("C", 3)
+        first = next(p for p in enumerate_partitions(4) if c3 in orig(p, 4))
+
+        def classify(p, j):
+            labels = orig(p, j)
+            return change(labels, c3) if (j, p) == (4, first) else labels
+
+        monkeypatch.setattr(involutions, "classify_cd", classify)
+
+    def classes_failures(self):
+        """The counterexamples of the classes check, which cor4's sweep and
+        the bijections part report alike."""
+        cor4 = verify.run_identity("cor4", max_n=5, mode="enumerative")
+        parts = verify.run_identity("bijections", max_n=5)
+        assert self.counterexamples(parts) == [
+            (dict(params, part="classes"), found)
+            for params, found in self.counterexamples(cor4)
+        ]
+        return self.counterexamples(cor4)
+
+    def test_classes_refuse_a_member_of_d1(self, monkeypatch):
+        d1 = involutions.ClassLabel("D", 1)
+        self.relabel(monkeypatch, lambda labels, c3: labels + (d1,))
+        assert self.classes_failures() == [
+            ({"j": 4}, {"reason": "class D_1 is not empty"})
+        ]
+
+    def test_classes_sizes_must_sum_to_bell_numbers(self, monkeypatch):
+        # C_3 is compared with no D class, so only its size sum fails
+        self.relabel(
+            monkeypatch, lambda labels, c3: tuple(x for x in labels if x != c3)
+        )
+        reason = "class size sum is not a Bell number"
+        total = numbers_mod.bell(3) - 1
+        assert self.classes_failures() == [
+            ({"j": 4}, {"reason": reason, "index": 3, "total": total})
+        ]
+
+    def test_classes_top_size_is_the_corollary_lhs(self, monkeypatch):
+        top = numbers_mod.singleton_identity_lhs(4, "alternating")
+        self.off_at(monkeypatch, "singleton_identity_lhs", 4)
+        assert self.classes_failures() == [
+            ({"j": 4}, {"reason": "top class size mismatch", "size": top})
+        ]
+
+    def test_unknown_bijection_part_fails_its_cell(self):
+        result = verify.check_cell("bijections", "both", 0, {"j": 2, "part": "nope"})
+        assert result.counterexample == {
+            "error": "IndexOutOfRange",
+            "message": "unknown bijection part 'nope'",
+        }
