@@ -68,6 +68,21 @@ from setpart.partitions import ENUMERATION_CEILING, _ground
 P = SetPartition.from_text
 
 
+class GroundSet:
+    """The two ways a ground is given, as the former GroundSet class read
+    them, both now partitions._ground."""
+
+    @staticmethod
+    def range_n(n):
+        """{1..n} from its size n."""
+        return _ground(n)
+
+    @staticmethod
+    def of(source):
+        """A ground from its size or from an iterable of its elements."""
+        return _ground(source)
+
+
 def one_block(*elements):
     """SetPartition([elements]): the integer arguments of a partition are
     its elements, and the ground is their union."""
@@ -95,7 +110,8 @@ ARGUMENTS = [
     ("factorial", factorial, (3,), (0,)),
     ("singleton_identity_lhs", singleton_identity_lhs, (3, "pair"), (0,)),
     ("singleton_identity_rhs", singleton_identity_rhs, (3, "pair"), (0,)),
-    ("partitions._ground", _ground, (3,), (0,)),
+    ("partitions._ground", GroundSet.range_n, (3,), (0,)),
+    ("partitions._ground", GroundSet.of, (3,), (0,)),
     ("SetPartition", one_block, (1, 2), (0,), MalformedInput),
     ("count_partitions", count_partitions, (3,), (0,)),
     ("enumerate_partitions", enumerate_partitions, (3,), (0,)),
