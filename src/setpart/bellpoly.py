@@ -23,7 +23,9 @@ from .errors import (
     NonIntegerCoefficient,
     WeightVectorTooShort,
     _index,
+    _ints,
     _is_int,
+    _iterable,
     _printed,
 )
 from .numbers import NUMBERS_CEILING, factorial
@@ -32,15 +34,25 @@ from .numbers import NUMBERS_CEILING, factorial
 POLY_CEILING = 60
 
 
+def _pairs(items, name) -> list:
+    """The items of a collection as 2-tuples; MalformedInput naming name
+    for an item that is not a pair, or where _iterable refuses items."""
+    items = list(_iterable(items, name))  # read first: only unpacking is caught
+    try:
+        return [(a, b) for a, b in items]
+    except (TypeError, ValueError):  # an item not iterable, or not two items
+        raise MalformedInput("%s must be pairs" % (name,)) from None
+
+
 class Monomial:
     """A product of variables t_i with positive integer exponents, sparse."""
 
     __slots__ = ("pairs",)
 
     def __init__(self, exponents):
-        """exponents: iterable of (index, exponent) pairs."""
+        """exponents: a collection of (index, exponent) pairs."""
         merged = {}
-        for i, e in exponents:
+        for i, e in _pairs(exponents, "exponent pairs"):
             _index(i, "variable index", low=1)
             if _index(e, "exponent"):
                 merged[i] = merged.get(i, 0) + e
@@ -88,9 +100,9 @@ class BellPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable = ()):
-        """terms: iterable of (Monomial, int coefficient); duplicates merge."""
+        """terms: a collection of (Monomial, int coefficient); duplicates merge."""
         acc = {}
-        for mono, coeff in terms:
+        for mono, coeff in _pairs(terms, "terms"):
             if not isinstance(mono, Monomial):
                 raise MalformedInput("each term needs a Monomial, got %r" % (mono,))
             if not _is_int(coeff):
@@ -123,7 +135,7 @@ class BellPolynomial:
         return _combination(((self, 1, ()), (other, 1, ())))
 
     def evaluate(self, weights) -> int:
-        values = _integer_weights(weights)
+        values = _ints(weights, "weights")
         need = max((pairs[-1][0] for pairs in self._terms if pairs), default=0)
         if need > len(values):
             raise WeightVectorTooShort("need %d weights, got %d" % (need, len(values)))
@@ -195,16 +207,6 @@ def _combination(parts) -> BellPolynomial:
     return BellPolynomial._trusted({m: c for m, c in acc.items() if c})
 
 
-def _integer_weights(weights) -> tuple:
-    """The weights as a tuple; MalformedInput unless every entry is an int
-    (bool excluded)."""
-    values = tuple(weights)
-    for v in values:
-        if not _is_int(v):
-            raise MalformedInput("weights must be integers, got %r" % (v,))
-    return values
-
-
 def _weight_indices(m) -> range:
     """1..m, once m is an int within NUMBERS_CEILING."""
     return range(1, _index(m, "m", ceiling=NUMBERS_CEILING) + 1)
@@ -216,7 +218,7 @@ class WeightVector:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        self.values = _integer_weights(values)
+        self.values = _ints(values, "weights")
 
     @classmethod
     def ones(cls, m: int) -> "WeightVector":

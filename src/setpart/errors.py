@@ -5,12 +5,13 @@ whole family with one clause.  The concrete classes mirror the failure modes
 of the public operations.
 
 The module also holds the one rule for integer arguments: _is_int decides
-what an integer is, and _index checks every size, index, window and job
-count against it; _printed is the one rule for printing integers, which
-refuses one too long for str() with SizeTooLarge.
+what an integer is, _index checks every size, index, window and job count
+against it, and _ints reads every collection of them; _printed is the one
+rule for printing integers, refusing one too long for str().
 """
 
 import sys
+from itertools import islice
 
 
 class SetpartError(Exception):
@@ -93,3 +94,30 @@ def _index(value, name="n", top=None, low=0, ceiling=None):
     if ceiling is not None and value > ceiling:
         raise SizeTooLarge("%s is capped at %d" % (name, ceiling))
     return value
+
+
+def _iterable(values, name):
+    """iter(values); MalformedInput for text and for what has no __iter__."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        kind = type(values).__name__
+        raise MalformedInput("%s must be a collection, not %s" % (name, kind))
+    return iter(values)
+
+
+def _ints(values, name, low=None, high=None, most=None, size="length", distinct=False):
+    """The items of the collection values, in order, as a tuple of ints
+    (bool excluded) >= low and, with low, <= high, none repeated if
+    distinct; else MalformedInput naming name.  Reads at most most + 1
+    items, and refuses more than most with SizeTooLarge naming size."""
+    items = tuple(islice(_iterable(values, name), None if most is None else most + 1))
+    for v in items:
+        if type(v) is not int and not _is_int(v):  # exact ints skip the call
+            raise MalformedInput("%s must hold integers, got %r" % (name, v))
+        if high is not None and not low <= v <= high:
+            raise MalformedInput("%s must lie in {%d..%d}" % (name, low, high))
+        if low is not None and v < low:
+            raise MalformedInput("%s must hold integers >= %d" % (name, low))
+    if distinct and len(set(items)) < len(items):
+        raise MalformedInput("%s must not repeat an element" % (name,))
+    _index(len(items), size, ceiling=most)
+    return items

@@ -28,7 +28,7 @@ from .bellpoly import (
     _size_monomial,
     complete_bell_by_sum,
 )
-from .errors import MalformedInput, PreconditionViolated, _index, _is_int
+from .errors import MalformedInput, PreconditionViolated, _index, _ints
 from .numbers import binomial
 from .partitions import SetPartition, _range_size, enumerate_partitions
 
@@ -165,17 +165,11 @@ def _without(size: int, x: frozenset) -> tuple:
 
 
 def _marked(size, low, high, marks, pi, mark_name, part_name) -> frozenset:
-    """The marks as a frozenset: the one check of a marked pair.  Each
-    mark must be an int inside the window {low..high}, and pi must
+    """The marks as a frozenset: the one check of a marked pair.  _ints
+    reads them, distinct ints in the window {low..high}, and pi must
     partition {1..size} minus the marks; mark_name and part_name name
-    the two in the messages.  A repeated mark is refused."""
-    marks = tuple(marks)
-    for e in marks:  # exact ints skip the call
-        if type(e) is not int and not _is_int(e) or not low <= e <= high:
-            raise MalformedInput("%s must lie in {%d..%d}" % (mark_name, low, high))
-    s = frozenset(marks)
-    if len(s) != len(marks):
-        raise MalformedInput("%s must not repeat an element" % (mark_name,))
+    the two in the messages."""
+    s = frozenset(_ints(marks, mark_name, low, high, high - low + 1, distinct=True))
     # sizes first, so the check costs no more than the input
     ground = pi.ground
     if len(ground) != size - len(s) or ground != _without(size, s):

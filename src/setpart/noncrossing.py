@@ -120,7 +120,7 @@ def covering_reduction(w) -> Tuple[CoverMask, tuple]:
     uncovered subword does, and that subword introduces letters in
     increasing order.
     """
-    letters = RGS(_word_letters(w)).word
+    letters = RGS(w).word
     n = len(letters)
     covered = [False] * n
     for i in range(n - 1):

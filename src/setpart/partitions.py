@@ -19,7 +19,8 @@ from .errors import (
     MalformedInput,
     NonContiguousGround,
     _index,
-    _is_int,
+    _ints,
+    _iterable,
     _printed,
 )
 
@@ -46,20 +47,12 @@ def _read_integers(text: str, what: str) -> tuple:
 def _ground(source) -> tuple:
     """The ground set source names, ascending: {1..n} for an int n >= 0,
     else the elements of an iterable, each an int >= 1 (bool excluded),
-    none repeated.  Either refuses a size past ENUMERATION_CEILING, an
-    int n before {1..n} is built."""
+    none repeated.  Either refuses a size past ENUMERATION_CEILING: an
+    int n before {1..n} is built, an iterable after reading one more."""
     if not hasattr(source, "__iter__"):
-        source = range(1, _index(source, ceiling=ENUMERATION_CEILING) + 1)
-    raw = tuple(source)
-    for e in raw:  # before sorting, which mixed types would break
-        if not _is_int(e) or e < 1:
-            raise MalformedInput("ground elements must be integers >= 1")
-    elems = tuple(sorted(raw))
-    for a, b in zip(elems, elems[1:]):
-        if a == b:
-            raise MalformedInput("duplicate ground element %d" % (a,))
-    _index(len(elems), ceiling=ENUMERATION_CEILING)
-    return elems
+        return tuple(range(1, _index(source, ceiling=ENUMERATION_CEILING) + 1))
+    g = _ints(source, "ground", 1, most=ENUMERATION_CEILING, size="n", distinct=True)
+    return tuple(sorted(g))
 
 
 class SetPartition:
@@ -76,15 +69,11 @@ class SetPartition:
         """Nonempty disjoint blocks of ints >= 1; the ground is their union."""
         norm = []
         seen = set()
-        for block in blocks:
-            b = tuple(block)
+        for block in _iterable(blocks, "blocks"):
+            b = _ints(block, "a block", low=1)
             if not b:
                 raise MalformedInput("blocks must be nonempty")
-            for e in b:  # before sorting, which mixed types would break
-                if type(e) is not int and not _is_int(e):  # exact ints skip the call
-                    raise MalformedInput("element %r is not an integer" % (e,))
-                if e < 1:
-                    raise MalformedInput("ground elements must be integers >= 1")
+            for e in b:
                 if e in seen:
                     raise MalformedInput("element %r appears in two blocks" % (e,))
                 seen.add(e)
@@ -105,6 +94,8 @@ class SetPartition:
     def from_text(cls, text: str) -> "SetPartition":
         """Parse "2/4,5/6,8,9/7" notation: blocks '/', elements ',', each
         block read by _read_integers; blank text is the empty partition."""
+        if not isinstance(text, str):
+            raise MalformedInput("need partition text, not %s" % type(text).__name__)
         blocks = [_read_integers(part, "block") for part in text.split("/")]
         return cls([] if blocks == [()] else blocks)
 
@@ -146,11 +137,11 @@ class RGS:
 
     __slots__ = ("word",)
 
-    def __init__(self, word: Sequence[int]):
-        w = tuple(word)
+    def __init__(self, word):
+        w = _word_letters(word)
         mx = 0
         for c in w:
-            if not _is_int(c) or c < 1 or c > mx + 1:
+            if c < 1 or c > mx + 1:
                 raise InvalidRGS("not a restricted growth string: %r" % (list(w),))
             if c > mx:
                 mx = c
@@ -166,7 +157,7 @@ class RGS:
     def from_text(cls, text: str) -> "RGS":
         """Parse a digit string like "112321442", or comma-separated letters
         when any letter exceeds 9; both forms go through _read_integers."""
-        return cls(_word_letters(text))
+        return cls(text)
 
     def to_text(self) -> str:
         if any(c > 9 for c in self.word):
@@ -196,24 +187,17 @@ class RGS:
 
 def _word_letters(w, ceiling=None) -> tuple:
     """The letters of a word given as an RGS, as text (see RGS.from_text)
-    or as a sequence of ints (bool excluded, any sign).  A length past
-    ceiling raises SizeTooLarge before any letter is read; a word that is
-    not a sequence, or a letter that is not an int, raises MalformedInput."""
+    or as a sequence read in order by _ints, letters of any sign.  A
+    length past ceiling raises SizeTooLarge once ceiling + 1 letters are
+    read; a word that is not a sequence raises MalformedInput."""
     if isinstance(w, RGS):
-        letters = w.word
+        w = w.word
     elif isinstance(w, str):
         text = w.replace(" ", "").replace("\t", "")
-        letters = _read_integers(text if "," in text else ",".join(text), "word")
-    elif isinstance(w, Sequence):
-        letters = tuple(w)
-    else:
+        w = _read_integers(text if "," in text else ",".join(text), "word")
+    elif not isinstance(w, Sequence):
         raise MalformedInput("a word must be a sequence, not %s" % (type(w).__name__,))
-    if ceiling is not None:
-        _index(len(letters), "length", ceiling=ceiling)
-    for c in letters:
-        if type(c) is not int and not _is_int(c):  # exact ints skip the call
-            raise MalformedInput("letter %r is not an integer" % (c,))
-    return letters
+    return _ints(w, "a word", most=ceiling)
 
 
 def _blocks_of_word(word, elements) -> tuple:
@@ -315,7 +299,7 @@ def from_rgs(w) -> SetPartition:
     Accepts an RGS, a word written as RGS.from_text reads it, or any int
     sequence.
     """
-    word = RGS(_word_letters(w)).word
+    word = RGS(w).word
     g = tuple(range(1, len(word) + 1))
     return SetPartition._trusted(g, _blocks_of_word(word, g))
 

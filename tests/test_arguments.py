@@ -1,9 +1,13 @@
 """One rule for every public integer argument (a size, index, window, job
 count or element): it must be an int, not a bool, and it is checked
 before any work is done.  Anything else raises MalformedInput, and -1
-raises an IndexOutOfRange (a NegativeIndex where the rule applies)."""
+raises an IndexOutOfRange (a NegativeIndex where the rule applies).  One
+rule, too, for every argument that is a collection of integers: it must
+be a collection, not text, of such ints, read no further than its
+ceiling."""
 
 import inspect
+import itertools
 import sys
 import time
 
@@ -11,6 +15,7 @@ import pytest
 
 import setpart
 from setpart import (
+    RGS,
     BellPolynomial,
     Monomial,
     SetPartition,
@@ -50,7 +55,7 @@ from setpart import (
     verify,
 )
 from setpart.bellpoly import POLY_CEILING
-from setpart.errors import IndexOutOfRange, MalformedInput, SizeTooLarge
+from setpart.errors import IndexOutOfRange, MalformedInput, SetpartError, SizeTooLarge
 from setpart.involutions import (
     WEIGHTED_CEILING,
     weighted_alternating_sum,
@@ -230,6 +235,7 @@ def test_run_identity_seed_is_any_int():
 
 # every public reader of a word given as text, an RGS or a sequence
 WORD_READERS = [
+    RGS,
     is_noncrossing,
     is_noncrossing_bruteforce,
     is_cyclic_smirnov,
@@ -238,20 +244,67 @@ WORD_READERS = [
 ]
 
 
-@pytest.mark.parametrize("read", WORD_READERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("read", WORD_READERS, ids=lambda f: f.__qualname__)
 def test_word_readers_take_a_sequence_of_ints_alone(read):
     read([1, 2, 1])
     for word, message in (
         (None, "a word must be a sequence, not NoneType"),
         (5, "a word must be a sequence, not int"),
         (iter([1]), "a word must be a sequence, not list_iterator"),
-        ([1, "a", 1, "a"], "letter 'a' is not an integer"),
-        ([1, 2.5, 1, 2.5], "letter 2.5 is not an integer"),
-        ([True, 2], "letter True is not an integer"),
+        ([1, "a", 1, "a"], "a word must hold integers, got 'a'"),
+        ([1, 2.5, 1, 2.5], "a word must hold integers, got 2.5"),
+        ([True, 2], "a word must hold integers, got True"),
     ):
         with pytest.raises(MalformedInput) as err:
             read(word)
         assert str(err.value) == message
+
+
+# every public argument that is a collection of integers, as a call that
+# takes it and is otherwise valid, with the class itertools.count(1)
+# raises where a ceiling bounds the read (None where none applies); an
+# int names a ground of that size, so 5 is no bad ground
+COLLECTIONS = [
+    ("count_partitions", count_partitions, SizeTooLarge),
+    ("enumerate_partitions", enumerate_partitions, SizeTooLarge),
+    ("SetPartition-blocks", SetPartition, None),
+    ("SetPartition-elements", lambda b: SetPartition([[1], b]), None),
+    ("RGS", RGS, None),
+    ("from_rgs", from_rgs, None),
+    ("covering_reduction", covering_reduction, None),
+    ("is_noncrossing", is_noncrossing, MalformedInput),  # a word is a sequence
+    ("is_noncrossing_bruteforce", is_noncrossing_bruteforce, MalformedInput),
+    ("is_cyclic_smirnov", is_cyclic_smirnov, None),
+    ("SignedPair-S", lambda S: SignedPair(3, 2, S, P("3,4")), MalformedInput),
+    (
+        "build_singleton_free-T",
+        lambda T: build_singleton_free(3, 1, T, P("1,2,3")),
+        MalformedInput,
+    ),
+    ("WeightVector", WeightVector, None),
+    ("evaluate", complete_bell_by_sum(2).evaluate, None),
+]
+
+
+def _collection_cases():
+    for name, fn, endless in COLLECTIONS:
+        bad = [None, [True], [2.5]]
+        if not name.endswith("partitions"):  # there an int n names {1..n}
+            bad.append(5)
+        for value in bad:
+            yield pytest.param(fn, value, MalformedInput, id="%s-%r" % (name, value))
+        if endless is not None:
+            count = itertools.count(1)
+            yield pytest.param(fn, count, endless, id="%s-count(1)" % (name,))
+
+
+@pytest.mark.parametrize("fn, value, error", _collection_cases())
+def test_collections_are_refused_at_once(fn, value, error):
+    start = time.perf_counter()
+    with pytest.raises(SetpartError) as err:
+        _call(fn, (value,))
+    assert time.perf_counter() - start < 0.1
+    assert type(err.value) is error
 
 
 def test_word_letters_may_have_any_sign():
@@ -272,7 +325,8 @@ def test_sequences_stop_at_their_ceiling(fn):
 
 
 # a walk over every growth word refuses a ground past its ceiling before
-# it builds the ground or the word; count_partitions at the ceiling itself
+# it builds the ground or the word, and reads an iterable ground no further
+# than one element past the ceiling; count_partitions at the ceiling itself
 # walks 27,644,437 words, so only the enumeration's first step runs there
 @pytest.mark.parametrize(
     "walk",
@@ -285,7 +339,7 @@ def test_partition_walks_stop_at_their_ceiling(walk):
     if walk is not count_partitions:
         assert len(walk(ENUMERATION_CEILING).ground) == ENUMERATION_CEILING
     top = ENUMERATION_CEILING + 1
-    for ground in (top, 3 * 10**6, 10**12, range(1, top + 1)):
+    for ground in (top, 3 * 10**6, 10**12, range(1, top + 1), range(1, 10**7)):
         start = time.perf_counter()
         with pytest.raises(SizeTooLarge, match="^n is capped at %d$" % (top - 1)):
             walk(ground)

@@ -16,6 +16,7 @@ from setpart.bellpoly import (
     partial_bell,
 )
 from setpart.errors import (
+    IndexOutOfRange,
     MalformedInput,
     NonIntegerCoefficient,
     SizeTooLarge,
@@ -61,6 +62,21 @@ class TestMonomial:
         with pytest.raises(MalformedInput):
             Monomial(pairs)
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (None, "exponent pairs must be a collection, not NoneType"),
+            ("t1", "exponent pairs must be a collection, not str"),
+            ([5], "exponent pairs must be pairs"),
+            ([(1, 2, 3)], "exponent pairs must be pairs"),
+            ([(1,)], "exponent pairs must be pairs"),
+        ],
+    )
+    def test_rejects_what_is_not_a_pair(self, pairs, message):
+        with pytest.raises(MalformedInput) as err:
+            Monomial(pairs)
+        assert str(err.value) == message
+
     @given(st.lists(st.tuples(
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=0, max_value=4),
@@ -91,6 +107,25 @@ class TestBellPolynomial:
         # 2.5 would evaluate to a float, and True would read as 1
         with pytest.raises(MalformedInput):
             BellPolynomial([(Monomial.one(), coeff)])
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (None, "terms must be a collection, not NoneType"),
+            (5, "terms must be a collection, not int"),
+            ([5], "terms must be pairs"),
+            ([(Monomial.one(), 1, 2)], "terms must be pairs"),
+        ],
+    )
+    def test_rejects_what_is_not_a_term_pair(self, terms, message):
+        with pytest.raises(MalformedInput) as err:
+            BellPolynomial(terms)
+        assert str(err.value) == message
+
+    def test_an_error_while_making_the_terms_passes_through(self):
+        # only unpacking a term reads as a malformed pair
+        with pytest.raises(IndexOutOfRange):
+            BellPolynomial((Monomial.single(0), 1) for _ in range(1))
 
     @pytest.mark.parametrize("mono", ["t1", None])
     def test_rejects_terms_without_a_monomial(self, mono):

@@ -79,10 +79,10 @@ class TestGroundSet:
     def test_rejects_bad_elements(self):
         assert_every_reader_refuses(
             [
-                ([0, 1], "ground elements must be integers >= 1"),
-                ([-2], "ground elements must be integers >= 1"),
-                ([1, 1, 2], "duplicate ground element 1"),
-                (["a"], "ground elements must be integers >= 1"),
+                ([0, 1], "ground must hold integers >= 1"),
+                ([-2], "ground must hold integers >= 1"),
+                ([1, 1, 2], "ground must not repeat an element"),
+                (["a"], "ground must hold integers, got 'a'"),
             ]
         )
         # a size goes through errors._index, like every other size
@@ -91,7 +91,7 @@ class TestGroundSet:
     def test_rejects_bool_elements(self):
         assert_every_reader_refuses(
             [
-                ([True, 2], "ground elements must be integers >= 1"),
+                ([True, 2], "ground must hold integers, got True"),
                 (True, "n must be an integer, got True"),
             ]
         )
@@ -131,6 +131,13 @@ class TestSetPartition:
             SetPartition([[1, 2], [0]])
         with pytest.raises(MalformedInput):
             SetPartition.from_text("1//2")
+
+    @pytest.mark.parametrize("text", [None, 5, [[1], [2]], b"1/2"])
+    def test_from_text_reads_text_alone(self, text):
+        # as RGS.from_text does; the blocks themselves go to the constructor
+        with pytest.raises(MalformedInput) as err:
+            SetPartition.from_text(text)
+        assert str(err.value) == "need partition text, not %s" % type(text).__name__
 
     @pytest.mark.parametrize("text", ["1,\u00b2/3", "\u00b3"])
     def test_from_text_rejects_digits_int_cannot_read(self, text):
@@ -175,10 +182,13 @@ class TestSetPartition:
             ([[1, 2], [2, 3]], "element 2 appears in two blocks"),
             ([[1, 1], [2, 3]], "element 1 appears in two blocks"),
             ([[1], []], "blocks must be nonempty"),
-            ([[2, 0]], "ground elements must be integers >= 1"),
-            ([[1], [-3]], "ground elements must be integers >= 1"),
-            ([[1, True]], "element True is not an integer"),
-            ([[1], ["a", 2]], "element 'a' is not an integer"),
+            ([[2, 0]], "a block must hold integers >= 1"),
+            ([[1], [-3]], "a block must hold integers >= 1"),
+            ([[1, True]], "a block must hold integers, got True"),
+            ([[1], ["a", 2]], "a block must hold integers, got 'a'"),
+            ([5], "a block must be a collection, not int"),
+            ([[1], "23"], "a block must be a collection, not str"),
+            (None, "blocks must be a collection, not NoneType"),
         ],
     )
     def test_constructor_messages(self, blocks, message):
@@ -234,10 +244,11 @@ class TestRGS:
             RGS([1, 0])
 
     def test_rejects_bool_letters(self):
-        with pytest.raises(InvalidRGS):
-            RGS([True])
-        with pytest.raises(InvalidRGS):
-            RGS([1, True, 2])
+        # a bool is refused by the word reader, before the growth check
+        for word in ([True], [1, True, 2]):
+            with pytest.raises(MalformedInput) as err:
+                RGS(word)
+            assert str(err.value) == "a word must hold integers, got True"
 
     def test_from_text_forms(self):
         assert RGS.from_text("1213") == RGS([1, 2, 1, 3])

@@ -67,6 +67,38 @@ def test_errors_alone_decides_what_an_integer_is():
     assert found == []
 
 
+def scoped_calls(body, scope=""):
+    """(qualified scope, call node) for each call under body, the scope
+    being the Class.function around it, "" at module level."""
+    for node in body:
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + "." + node.name if scope else node.name
+        if isinstance(node, ast.Call):
+            yield scope, node
+        yield from scoped_calls(ast.iter_child_nodes(node), inner)
+
+
+# the callers errors._is_int may have outside errors.py, each on a scalar;
+# a collection of integers is read by errors._ints alone
+IS_INT_CALLERS = [
+    ("bellpoly.py", "BellPolynomial.__init__"),  # a coefficient
+    ("numbers.py", "binomial"),  # n and k, outside whose window C(n, k) is 0
+    ("verify.py", "run_identity"),  # the seed, of any sign
+]
+
+
+def test_collections_of_integers_have_one_reader():
+    found = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for scope, node in scoped_calls(ast.parse(path.read_text(), str(path)).body)
+        if name(node.func) == "_is_int"
+    }
+    assert sorted(found) == IS_INT_CALLERS
+
+
 def raised(node, scope=None):
     """(scope, kind) for each raise under node that names what it raises:
     the name of the innermost function around it, and the bare name of
