@@ -27,6 +27,7 @@ from .errors import (
     _is_int,
     _iterable,
     _printed,
+    _shown,
 )
 from .numbers import NUMBERS_CEILING, factorial
 
@@ -65,14 +66,6 @@ class Monomial:
         mono.pairs = pairs
         return mono
 
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls(())
-
-    @classmethod
-    def single(cls, index: int, exponent: int = 1) -> "Monomial":
-        return cls(((index, exponent),))
-
     def to_text(self) -> str:
         factors = ("t%d" % i if e == 1 else "t%d^%d" % (i, e) for i, e in self.pairs)
         return _printed(lambda: "*".join(factors), "an index or exponent") or "1"
@@ -104,9 +97,10 @@ class BellPolynomial:
         acc = {}
         for mono, coeff in _pairs(terms, "terms"):
             if not isinstance(mono, Monomial):
-                raise MalformedInput("each term needs a Monomial, got %r" % (mono,))
+                raise MalformedInput("each term needs a Monomial, got " + _shown(mono))
             if not _is_int(coeff):
-                raise MalformedInput("coefficients must be integers, got %r" % (coeff,))
+                shown = _shown(coeff)
+                raise MalformedInput("coefficients must be integers, got " + shown)
             acc[mono.pairs] = acc.get(mono.pairs, 0) + coeff
         self._terms = {pairs: c for pairs, c in acc.items() if c}
 
@@ -135,10 +129,11 @@ class BellPolynomial:
         return _combination(((self, 1, ()), (other, 1, ())))
 
     def evaluate(self, weights) -> int:
-        values = _ints(weights, "weights")
         need = max((pairs[-1][0] for pairs in self._terms if pairs), default=0)
+        values = _ints(weights, "weights", most=max(need, NUMBERS_CEILING))
         if need > len(values):
-            raise WeightVectorTooShort("need %d weights, got %d" % (need, len(values)))
+            shown = (_shown(need), len(values))
+            raise WeightVectorTooShort("need %s weights, got %d" % shown)
         power = {}  # (index, exponent) -> t_index^exponent, each worked out once
         total = 0
         for pairs, coeff in self._terms.items():
@@ -218,7 +213,7 @@ class WeightVector:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        self.values = _ints(values, "weights")
+        self.values = _ints(values, "weights", most=NUMBERS_CEILING)
 
     @classmethod
     def ones(cls, m: int) -> "WeightVector":
@@ -282,7 +277,7 @@ def _bell_terms(n: int, blocks=None) -> BellPolynomial:
             leaf = (step[1][total][0],) + pairs if total else pairs
             coeff, rem = divmod(fact[n], denom * fact[total])
             if rem:
-                raise NonIntegerCoefficient("coefficient of %r is inexact" % (leaf,))
+                raise NonIntegerCoefficient("coefficient of %s is inexact" % (leaf,))
             terms[leaf] = coeff
         for s in range(min(top, total if count is None else total - count + 1), 1, -1):
             if count is None:

@@ -20,6 +20,7 @@ from .errors import (
     WeightVectorTooShort,
     _index,
     _printed,
+    _shown,
 )
 from .partitions import SetPartition, _read_integers
 
@@ -40,7 +41,7 @@ def _integer(text: str) -> int:
     try:
         (value,) = _read_integers(text, "integer")
     except ValueError:
-        raise argparse.ArgumentTypeError("bad integer %r" % (text,)) from None
+        raise argparse.ArgumentTypeError("bad integer " + _shown(text)) from None
     return value
 
 

@@ -6,8 +6,8 @@ of the public operations.
 
 The module also holds the one rule for integer arguments: _is_int decides
 what an integer is, _index checks every size, index, window and job count
-against it, and _ints reads every collection of them; _printed is the one
-rule for printing integers, refusing one too long for str().
+against it, and _ints reads every collection of them.  _printed prints
+integers, refusing one too long for str(); _shown shows a refused value.
 """
 
 import sys
@@ -76,6 +76,14 @@ def _printed(show, what: str) -> str:
         ) from None
 
 
+def _shown(value) -> str:
+    """repr(value), or past int-to-text's digit limit a stand-in naming its type."""
+    try:
+        return repr(value)
+    except ValueError:  # past int-to-text's limit on digits
+        return "<%s too long to show>" % type(value).__name__
+
+
 def _index(value, name="n", top=None, low=0, ceiling=None):
     """value, when it is an integer with low <= value <= top (the window,
     such as j <= n) and value <= ceiling (the cap of an exhaustive walk).
@@ -85,11 +93,11 @@ def _index(value, name="n", top=None, low=0, ceiling=None):
     SizeTooLarge above ceiling.
     """
     if type(value) is not int and not _is_int(value):  # exact ints skip the call
-        raise MalformedInput("%s must be an integer, got %r" % (name, value))
+        raise MalformedInput("%s must be an integer, got %s" % (name, _shown(value)))
     if value < 0:
         raise NegativeIndex("%s must be nonnegative" % (name,))
     if value < low or top is not None and value > top:
-        high = "" if top is None else " <= %d" % (top,)
+        high = "" if top is None else " <= %s" % (_shown(top),)
         raise IndexOutOfRange("need %d <= %s%s" % (low, name, high))
     if ceiling is not None and value > ceiling:
         raise SizeTooLarge("%s is capped at %d" % (name, ceiling))
@@ -109,12 +117,14 @@ def _ints(values, name, low=None, high=None, most=None, size="length", distinct=
     (bool excluded) >= low and, with low, <= high, none repeated if
     distinct; else MalformedInput naming name.  Reads at most most + 1
     items, and refuses more than most with SizeTooLarge naming size."""
-    items = tuple(islice(_iterable(values, name), None if most is None else most + 1))
+    stop = None if most is None else min(most + 1, sys.maxsize)  # islice's bound
+    items = tuple(islice(_iterable(values, name), stop))
     for v in items:
         if type(v) is not int and not _is_int(v):  # exact ints skip the call
-            raise MalformedInput("%s must hold integers, got %r" % (name, v))
+            raise MalformedInput("%s must hold integers, got %s" % (name, _shown(v)))
         if high is not None and not low <= v <= high:
-            raise MalformedInput("%s must lie in {%d..%d}" % (name, low, high))
+            window = (name, _shown(low), _shown(high))
+            raise MalformedInput("%s must lie in {%s..%s}" % window)
         if low is not None and v < low:
             raise MalformedInput("%s must hold integers >= %d" % (name, low))
     if distinct and len(set(items)) < len(items):

@@ -28,12 +28,13 @@ from .bellpoly import (
     _size_monomial,
     complete_bell_by_sum,
 )
-from .errors import MalformedInput, PreconditionViolated, _index, _ints
+from .errors import MalformedInput, PreconditionViolated, _index, _ints, _shown
 from .numbers import binomial
 from .partitions import SetPartition, _range_size, enumerate_partitions
 
 CARRIER_CEILING = 10
 SYMBOLIC_CEILING = 7
+EXACT_CEILING = 10  # thm2's closed half compares its exact sides up to this n
 # the weighted closed sides at n = 30, j = 15: 0.6 s and 42 MB for the
 # binomial side (2 shared CPUs, Python 3.11), growing about fourfold per
 # 5 steps of n
@@ -73,12 +74,9 @@ class SignedPair:
         return hash((self.n, self.j, self.S, self.pi.blocks))
 
     def __repr__(self):
-        return "SignedPair(n=%d, j=%d, S=%s, pi=%s)" % (
-            self.n,
-            self.j,
-            sorted(self.S),
-            self.pi.to_text() or "()",
-        )
+        # pi holds n + 1, which no mark reaches, so its text is never empty
+        shown = (*map(_shown, (self.n, self.j, sorted(self.S))), self.pi.to_text())
+        return "SignedPair(n=%s, j=%s, S=%s, pi=%s)" % shown
 
 
 def partner(lam: SignedPair) -> Optional[SignedPair]:
@@ -174,7 +172,7 @@ def _marked(size, low, high, marks, pi, mark_name, part_name) -> frozenset:
     ground = pi.ground
     if len(ground) != size - len(s) or ground != _without(size, s):
         raise MalformedInput(
-            "%s must partition {1..%d} minus %s" % (part_name, size, mark_name)
+            "%s must partition {1..%s} minus %s" % (part_name, _shown(size), mark_name)
         )
     return s
 
@@ -320,9 +318,9 @@ def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
     )
 
 
-# Y_m is kept per process up to this degree, enough for thm2's closed
-# cells (n <= 10); a call near WEIGHTED_CEILING leaves nothing large behind
-_CACHED_DEGREE = 11
+# Y_m is kept per process up to this degree, the largest thm2's closed
+# cells read (Y_{n+1}); a call near WEIGHTED_CEILING leaves nothing large behind
+_CACHED_DEGREE = EXACT_CEILING + 1
 _complete_cache = {}  # m -> (the builder that made it, Y_m)
 
 
@@ -343,11 +341,7 @@ def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
     the complete block-size polynomial."""
     _index(j, "j", top=_index(n, ceiling=WEIGHTED_CEILING))
     return _combination(
-        (
-            _complete(n + 1 - i),
-            (-1) ** i * binomial(j, i),
-            Monomial.single(1, i).pairs,
-        )
+        (_complete(n + 1 - i), (-1) ** i * binomial(j, i), ((1, i),) if i else ())
         for i in range(j + 1)
     )
 

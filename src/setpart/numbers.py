@@ -14,6 +14,7 @@ from .errors import (
     NonIntegerCoefficient,
     _index,
     _is_int,
+    _shown,
 )
 
 SINGLETON_IDENTITY_VARIANTS = ("collapse", "pair", "alternating")
@@ -30,7 +31,8 @@ def binomial(n: int, k: int) -> int:
     NUMBERS_CEILING: C(10**6, 5 * 10**5) takes ~13 s.
     """
     if not (_is_int(n) and _is_int(k)):
-        raise MalformedInput("binomial needs integers, got %r and %r" % (n, k))
+        shown = (_shown(n), _shown(k))
+        raise MalformedInput("binomial needs integers, got %s and %s" % shown)
     if k < 0 or n < 0 or k > n:
         return 0
     if n > NUMBERS_CEILING:  # one comparison here; _index raises SizeTooLarge
@@ -139,7 +141,7 @@ def singleton_identity_rhs(j: int, variant: str) -> int:
 
 def _check_variant(j, variant):
     if variant not in SINGLETON_IDENTITY_VARIANTS:
-        raise IndexOutOfRange("unknown identity variant %r" % (variant,))
+        raise IndexOutOfRange("unknown identity variant " + _shown(variant))
     # the alternating right side starts at j = 2; smaller j is undefined.
     # the pair left side reads bell(j + 2), which caps j for every side
     low = 2 if variant == "alternating" else 0

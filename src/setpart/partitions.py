@@ -22,6 +22,7 @@ from .errors import (
     _ints,
     _iterable,
     _printed,
+    _shown,
 )
 
 ENUMERATION_CEILING = 13  # B(13) = 27,644,437 words, walked one by one
@@ -41,7 +42,7 @@ def _read_integers(text: str, what: str) -> tuple:
             return tuple(map(int, tokens))
         except ValueError:  # past int()'s limit on digits
             pass
-    raise MalformedInput("bad %s %r" % (what, text))
+    raise MalformedInput("bad %s %s" % (what, _shown(text)))
 
 
 def _ground(source) -> tuple:
@@ -75,7 +76,7 @@ class SetPartition:
                 raise MalformedInput("blocks must be nonempty")
             for e in b:
                 if e in seen:
-                    raise MalformedInput("element %r appears in two blocks" % (e,))
+                    raise MalformedInput("element %s appears in two blocks" % _shown(e))
                 seen.add(e)
             norm.append(tuple(sorted(b)))
         norm.sort()  # disjoint blocks: tuple order is least-element order
@@ -142,7 +143,7 @@ class RGS:
         mx = 0
         for c in w:
             if c < 1 or c > mx + 1:
-                raise InvalidRGS("not a restricted growth string: %r" % (list(w),))
+                raise InvalidRGS("not a restricted growth string: " + _shown(list(w)))
             if c > mx:
                 mx = c
         self.word = w
@@ -198,18 +199,6 @@ def _word_letters(w, ceiling=None) -> tuple:
     elif not isinstance(w, Sequence):
         raise MalformedInput("a word must be a sequence, not %s" % (type(w).__name__,))
     return _ints(w, "a word", most=ceiling)
-
-
-def _blocks_of_word(word, elements) -> tuple:
-    """Letter word[i] names the block of elements[i].
-
-    Letters first occur in increasing order, so blocks come out already
-    sorted by smallest element.
-    """
-    blocks = [[] for _ in range(max(word, default=0))]
-    for e, c in zip(elements, word):
-        blocks[c - 1].append(e)
-    return tuple(map(tuple, blocks))
 
 
 def enumerate_partitions(ground) -> Iterator[SetPartition]:
@@ -274,7 +263,7 @@ def _range_size(p: SetPartition, size=None) -> int:
     # sorted, distinct and >= 1: {1..m} exactly when the largest is m
     if ground and ground[-1] != m or size is not None and m != size:
         raise NonContiguousGround(
-            "need a partition of {1..%s}" % ("m" if size is None else size)
+            "need a partition of {1..%s}" % ("m" if size is None else _shown(size))
         )
     return m
 
@@ -297,11 +286,15 @@ def from_rgs(w) -> SetPartition:
     """Decode a restricted growth string into the partition of [n] it names.
 
     Accepts an RGS, a word written as RGS.from_text reads it, or any int
-    sequence.
+    sequence.  Letter i names the block of element i; letters first occur
+    in increasing order, so the blocks come out sorted by least element.
     """
     word = RGS(w).word
-    g = tuple(range(1, len(word) + 1))
-    return SetPartition._trusted(g, _blocks_of_word(word, g))
+    blocks = [[] for _ in range(max(word, default=0))]
+    for e, c in enumerate(word, 1):
+        blocks[c - 1].append(e)
+    ground = tuple(range(1, len(word) + 1))
+    return SetPartition._trusted(ground, tuple(map(tuple, blocks)))
 
 
 def block_containing(p: SetPartition, e: int) -> tuple:
@@ -310,4 +303,4 @@ def block_containing(p: SetPartition, e: int) -> tuple:
     for b in p.blocks:
         if e in b:
             return b
-    raise ElementNotInGround("element %r is not in the ground set" % (e,))
+    raise ElementNotInGround("element %s is not in the ground set" % (_shown(e),))

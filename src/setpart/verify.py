@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import involutions, noncrossing, numbers, partitions
 from .errors import IndexOutOfRange, MalformedInput, SizeTooLarge, _index, _is_int
+from .errors import _shown
 
 MODES = ("closed-form", "enumerative", "both")
 
@@ -138,9 +139,9 @@ def default_max_n(identity: str, mode: str = "both") -> int:
 def _entry(identity: str, mode: str) -> _Identity:
     """The table row of identity, once identity and mode are known tokens."""
     if identity not in _IDENTITIES:
-        raise IndexOutOfRange("unknown identity %r" % (identity,))
+        raise IndexOutOfRange("unknown identity " + _shown(identity))
     if mode not in MODES:
-        raise IndexOutOfRange("unknown mode %r" % (mode,))
+        raise IndexOutOfRange("unknown mode " + _shown(mode))
     return _IDENTITIES[identity]
 
 
@@ -235,7 +236,7 @@ def run_identity(
     """
     _index(jobs, "jobs", low=1)
     if not _is_int(seed):
-        raise MalformedInput("seed must be an integer, got %r" % (seed,))
+        raise MalformedInput("seed must be an integer, got " + _shown(seed))
     if max_n is None:
         max_n = default_max_n(identity, mode)
     start = time.perf_counter()
@@ -453,7 +454,7 @@ def _no_singleton_targets(size, j):
 def _check_bijections(cell, closed, sweep):
     check = _PARTS.get(cell["part"])
     if check is None:
-        raise IndexOutOfRange("unknown bijection part %r" % (cell["part"],))
+        raise IndexOutOfRange("unknown bijection part " + _shown(cell["part"]))
     return check(cell["j"])
 
 
@@ -548,6 +549,8 @@ _check_nc_firstj = _check_nc(
 )
 
 _CARRIER = involutions.CARRIER_CEILING
+_EXACT = involutions.EXACT_CEILING
+_SYMBOLIC = involutions.SYMBOLIC_CEILING
 _WORDS = noncrossing.WORD_CEILING
 
 # token: checker, grid, default max_n, closed-form ceiling (0: the
@@ -561,7 +564,7 @@ _IDENTITIES = {
     "cor4": _Identity(
         _check_cor("alternating", "classes"), _window(2), 12, 40, _CARRIER
     ),
-    "thm2": _Identity(_check_thm2, _triangle, 10, 10, involutions.SYMBOLIC_CEILING),
+    "thm2": _Identity(_check_thm2, _triangle, _EXACT, _EXACT, _SYMBOLIC),
     "nc-catalan": _Identity(_check_nc_catalan, _line, 12, 0, _WORDS),
     "nc-k": _Identity(_check_nc_k, _line, 12, 0, _WORDS),
     "nc-firstj": _Identity(_check_nc_firstj, _prefix_grid, 10, 0, _WORDS),

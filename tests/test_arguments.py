@@ -10,6 +10,7 @@ import inspect
 import itertools
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -97,6 +98,16 @@ def one_block(*elements):
 one_block.__qualname__ = SetPartition.__qualname__  # the case ids name the class
 
 
+def one_pair(index, exponent):
+    """Monomial([(index, exponent)]): the integer arguments of a monomial
+    are the index and exponent of its pairs."""
+    return Monomial([(index, exponent)])
+
+
+# the case ids keep the name of the builder this row called before
+one_pair.__qualname__ = "Monomial.single"
+
+
 # (name, callable, valid arguments, positions of the integer arguments,
 # and optionally what -1 in such a position raises when that is not an
 # IndexOutOfRange: an element below 1 raises MalformedInput, and None
@@ -121,7 +132,7 @@ ARGUMENTS = [
     ("count_partitions", count_partitions, (3,), (0,)),
     ("enumerate_partitions", enumerate_partitions, (3,), (0,)),
     ("block_containing", block_containing, (P("1/2"), 1), (1,)),
-    ("Monomial", Monomial.single, (2, 1), (0, 1)),
+    ("Monomial", one_pair, (2, 1), (0, 1)),
     ("WeightVector", WeightVector.ones, (3,), (0,)),
     ("WeightVector", WeightVector.factorials, (3,), (0,)),
     ("WeightVector", WeightVector.shifted_factorials, (3,), (0,)),
@@ -281,8 +292,8 @@ COLLECTIONS = [
         lambda T: build_singleton_free(3, 1, T, P("1,2,3")),
         MalformedInput,
     ),
-    ("WeightVector", WeightVector, None),
-    ("evaluate", complete_bell_by_sum(2).evaluate, None),
+    ("WeightVector", WeightVector, SizeTooLarge),
+    ("evaluate", complete_bell_by_sum(2).evaluate, SizeTooLarge),
 ]
 
 
@@ -475,10 +486,10 @@ def test_jobs_below_one_are_rejected():
         (lambda: Monomial([(1, 10**5000)]).to_text(), "an index or exponent"),
         (lambda: repr(Monomial([(10**5000, 1)])), "an index or exponent"),
         (
-            lambda: BellPolynomial([(Monomial.single(1), 10**5000)]).to_text(),
+            lambda: BellPolynomial([(Monomial([(1, 1)]), 10**5000)]).to_text(),
             "a coefficient",
         ),
-        (lambda: repr(BellPolynomial([(Monomial.one(), -10**5000)])), "a coefficient"),
+        (lambda: repr(BellPolynomial([(Monomial(()), -10**5000)])), "a coefficient"),
         (lambda: repr(WeightVector([2, 10**5000])), "a weight"),
     ],
     ids=[
@@ -493,3 +504,83 @@ def test_integers_past_the_text_limit_are_refused_by_the_printers(show, what):
         show()
     limit = sys.get_int_max_str_digits()
     assert str(err.value) == "%s has over %d digits, too many to print" % (what, limit)
+
+
+# a refusal that names a value past int-to-text's digit limit shows a
+# stand-in for it: each call raises, at once, the class it raises for an
+# ordinary bad value (the second item), not a bare ValueError from repr()
+HUGE = 10**5000
+PAST_THE_DIGIT_LIMIT = [
+    ("RGS", lambda v: RGS([1, v]), 3, HUGE),
+    ("SetPartition-repeat", lambda v: SetPartition([[v], [v]]), 5, HUGE),
+    (
+        "SetPartition-element",
+        lambda v: SetPartition([[v]]),
+        Fraction(5),
+        Fraction(HUGE),
+    ),
+    ("WeightVector", lambda v: WeightVector([v]), Fraction(5), Fraction(HUGE)),
+    ("block_containing", lambda v: block_containing(P("1,2"), v), 3, HUGE),
+    ("SignedPair-j", lambda v: SignedPair(v, v + 1, [], P("1")), 5, HUGE),
+    ("SignedPair-pi", lambda v: SignedPair(v, 0, [], P("1")), 5, HUGE),
+    (
+        "build_singleton_free",
+        lambda v: build_singleton_free(v, v + 1, [], P("1")),
+        5,
+        HUGE,
+    ),
+    ("split_singleton_free", lambda v: split_singleton_free(v, 0, P("1")), 5, HUGE),
+    ("gather_singletons_two", lambda v: gather_singletons_two(P("1"), v), 5, HUGE),
+    ("classify_cd", lambda v: classify_cd(P("1,2"), v), 5, HUGE),
+    (
+        "evaluate",
+        lambda v: BellPolynomial([(Monomial([(v, 1)]), 1)]).evaluate([]),
+        5,
+        HUGE,
+    ),
+    ("binomial", lambda v: binomial(v, 1), Fraction(5), Fraction(HUGE)),
+    (
+        "run_identity-seed",
+        lambda v: run_identity("thm1", max_n=1, seed=v),
+        Fraction(5),
+        Fraction(HUGE),
+    ),
+    ("run_identity-identity", run_identity, Fraction(5), Fraction(HUGE)),
+    (
+        "singleton_identity_lhs",
+        lambda v: singleton_identity_lhs(3, v),
+        Fraction(5),
+        Fraction(HUGE),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, ordinary, huge",
+    [pytest.param(*row[1:], id=row[0]) for row in PAST_THE_DIGIT_LIMIT],
+)
+def test_a_refusal_never_fails_on_the_value_it_names(call, ordinary, huge):
+    with pytest.raises(SetpartError) as want:
+        call(ordinary)
+    start = time.perf_counter()
+    with pytest.raises(SetpartError) as err:
+        call(huge)
+    assert time.perf_counter() - start < 0.1
+    assert type(err.value) is type(want.value)
+    assert "too long to show>" in str(err.value)
+
+
+def test_weights_are_read_no_further_than_needed():
+    # WeightVector holds at most NUMBERS_CEILING weights; evaluate reads no
+    # more than the polynomial's largest index or NUMBERS_CEILING
+    assert len(WeightVector([1] * NUMBERS_CEILING)) == NUMBERS_CEILING
+    with pytest.raises(SizeTooLarge, match="^length is capped at 1000$"):
+        WeightVector([1] * (NUMBERS_CEILING + 1))
+    y2 = complete_bell_by_sum(2)
+    assert y2.evaluate([1] * NUMBERS_CEILING) == 2
+    with pytest.raises(SizeTooLarge):
+        y2.evaluate([1] * (NUMBERS_CEILING + 1))
+    far = BellPolynomial([(Monomial([(NUMBERS_CEILING + 5, 1)]), 1)])
+    assert far.evaluate(range(1, NUMBERS_CEILING + 6)) == NUMBERS_CEILING + 5
+    with pytest.raises(SizeTooLarge):
+        far.evaluate(itertools.count(1))

@@ -33,8 +33,8 @@ class TestMonomial:
         assert m.to_text() == "t1^3*t2^2"
 
     def test_identity_element(self):
-        one = Monomial.one()
-        m = Monomial.single(3)
+        one = Monomial(())
+        m = Monomial([(3, 1)])
         assert bellpoly._times(one.pairs, m.pairs) == m.pairs
         assert bellpoly._times(m.pairs, one.pairs) == m.pairs
         assert one.to_text() == "1"
@@ -96,7 +96,7 @@ class TestBellPolynomial:
         assert complete_bell_by_sum(4).to_text() == want
 
     def test_zero_and_constant(self):
-        one = Monomial.one()
+        one = Monomial(())
         assert BellPolynomial().to_text() == "0"
         assert BellPolynomial([(one, 0)]) == BellPolynomial()
         assert BellPolynomial([(one, 7)]).to_text() == "7"
@@ -106,7 +106,7 @@ class TestBellPolynomial:
     def test_rejects_non_integer_coefficients(self, coeff):
         # 2.5 would evaluate to a float, and True would read as 1
         with pytest.raises(MalformedInput):
-            BellPolynomial([(Monomial.one(), coeff)])
+            BellPolynomial([(Monomial(()), coeff)])
 
     @pytest.mark.parametrize(
         "terms, message",
@@ -114,7 +114,7 @@ class TestBellPolynomial:
             (None, "terms must be a collection, not NoneType"),
             (5, "terms must be a collection, not int"),
             ([5], "terms must be pairs"),
-            ([(Monomial.one(), 1, 2)], "terms must be pairs"),
+            ([(Monomial(()), 1, 2)], "terms must be pairs"),
         ],
     )
     def test_rejects_what_is_not_a_term_pair(self, terms, message):
@@ -125,7 +125,7 @@ class TestBellPolynomial:
     def test_an_error_while_making_the_terms_passes_through(self):
         # only unpacking a term reads as a malformed pair
         with pytest.raises(IndexOutOfRange):
-            BellPolynomial((Monomial.single(0), 1) for _ in range(1))
+            BellPolynomial((Monomial([(0, 1)]), 1) for _ in range(1))
 
     @pytest.mark.parametrize("mono", ["t1", None])
     def test_rejects_terms_without_a_monomial(self, mono):
@@ -134,11 +134,11 @@ class TestBellPolynomial:
             BellPolynomial([(mono, 1)])
 
     def test_negative_terms_render_with_minus(self):
-        p = BellPolynomial([(Monomial.one(), 1)]) + BellPolynomial(
-            [(Monomial.single(1), -2)]
+        p = BellPolynomial([(Monomial(()), 1)]) + BellPolynomial(
+            [(Monomial([(1, 1)]), -2)]
         )
         assert p.to_text() == "-2*t1 + 1"
-        q = complete_bell_by_sum(1) + BellPolynomial([(Monomial.one(), -3)])
+        q = complete_bell_by_sum(1) + BellPolynomial([(Monomial(()), -3)])
         assert q.to_text() == "t1 - 3"
 
     def test_addition_cancels(self):
@@ -155,7 +155,7 @@ class TestBellPolynomial:
 
     def test_scaled_by_monomial_shifts_terms(self):
         # the two weighted closed forms scale by a pair tuple through _combination
-        t1 = Monomial.single(1).pairs
+        t1 = Monomial([(1, 1)]).pairs
         p = bellpoly._combination(((complete_bell_by_sum(2), 3, t1),))
         # 3*t1*(t1^2 + t2) = 3*t1^3 + 3*t1*t2
         assert p.coefficient(Monomial([(1, 3)])) == 3
@@ -339,7 +339,7 @@ class TestCanonicalMonomials:
             assert_canonical(m.pairs for m, _ in poly.terms())
         keys = [key for poly in parts for key in poly._terms]
         factors = [
-            Monomial.one(), Monomial.single(1, 2), Monomial([(2, 1), (n + 3, 2)]),
+            Monomial(()), Monomial([(1, 2)]), Monomial([(2, 1), (n + 3, 2)]),
         ]
         factors = [f.pairs for f in factors] + keys[:3]
         for key in keys:
@@ -463,6 +463,17 @@ class TestWeightVector:
     def test_evaluate_rejects_non_integer_weights(self, values):
         with pytest.raises(MalformedInput):
             complete_bell_by_sum(2).evaluate(values)
+
+    def test_equal_exactly_when_the_values_are(self):
+        assert WeightVector([1, 2, 6]) == WeightVector((1, 2, 6))
+        assert WeightVector.factorials(3) == WeightVector(iter([1, 2, 6]))
+        assert WeightVector([]) == WeightVector.ones(0)
+        assert WeightVector([1, 2, 6]) != WeightVector([1, 2, 7])
+        assert WeightVector([1, 2]) != WeightVector([1, 2, 6])
+        assert WeightVector.ones(3) != WeightVector.shifted_factorials(3)
+        # another type is never equal, not even its tuple of values
+        assert WeightVector([1, 2]) != (1, 2)
+        assert WeightVector([1, 2]) != [1, 2]
 
 
 def weight_of(p):

@@ -174,6 +174,15 @@ class TestWorkedExample:
         assert out.sign == -lam.sign
         assert partner(out) == lam
 
+    def test_repr_names_n_j_the_marks_and_the_partition(self):
+        lam = SignedPair(8, 4, {3, 1}, SetPartition.from_text("2/4,5/6,8,9/7"))
+        assert repr(lam) == "SignedPair(n=8, j=4, S=[1, 3], pi=2/4,5/6,8,9/7)"
+        out = repr(partner(lam))
+        assert out == "SignedPair(n=8, j=4, S=[1], pi=2/3/4,5/6,8,9/7)"
+        assert repr(SignedPair(0, 0, (), SetPartition([[1]]))) == (
+            "SignedPair(n=0, j=0, S=[], pi=1)"
+        )
+
     def test_fixed_example(self):
         lam = SignedPair(
             3, 2, frozenset(), SetPartition.from_text("1,2/3,4")
@@ -511,7 +520,7 @@ class TestWeightedSums:
     def test_smallest_window_reduces_to_pair_weight(self):
         poly = weighted_carrier_sum(1, 1)
         assert poly.to_text() == "t2"
-        assert poly.coefficient(Monomial.single(2)) == 1
+        assert poly.coefficient(Monomial([(2, 1)])) == 1
 
     def test_specializes_to_plain_identity(self):
         for n in range(6):

@@ -367,6 +367,17 @@ class TestRGSCoding:
         w = RGS(word)
         assert to_rgs(from_rgs(w)) == w
 
+    def test_letters_past_nine_round_trip_in_the_comma_form(self):
+        # eleven blocks: letters 10 and 11 need the comma form of RGS.to_text
+        word = list(range(1, 12)) + [10, 1]
+        p = from_rgs(word)
+        assert p.blocks[0] == (1, 13) and p.blocks[9] == (10, 12)
+        text = to_rgs(p).to_text()
+        assert text == "1,2,3,4,5,6,7,8,9,10,11,10,1"
+        assert RGS.from_text(text) == RGS(word) == to_rgs(p)
+        assert from_rgs(text) == p
+        assert RGS(word[:9]).to_text() == "123456789"  # digits up to 9
+
     def test_to_rgs_needs_contiguous_ground(self):
         p = SetPartition([[2], [4, 5]])
         with pytest.raises(NonContiguousGround):

@@ -224,7 +224,6 @@ def test_readme_library_examples_run():
 
 # public names that only tests call, each kept for a reason
 UNCALLED_BUT_KEPT = {
-    "Monomial.one": "the monomial 1, which a constant term is built on",
     "BellPolynomial.coefficient": "reads one term without rendering the polynomial",
     "weight_monomial": "the pair weight that partner must preserve",
 }
@@ -303,3 +302,24 @@ def test_shared_public_names_are_reviewed():
     root = PACKAGE.parents[1]
     for name, (path, call) in SHARED_NAMES.items():
         assert call in (root / path).read_text(encoding="utf-8"), name
+
+
+def test_a_refusal_shows_a_value_through_errors_shown_alone():
+    # repr() of an int past int-to-text's digit limit, or of a Fraction
+    # holding one, raises a bare ValueError; a refusal that formats the
+    # caller's value with %r would fail on it, so outside errors.py no
+    # string inside a raise holds %r, and errors._shown shows the value
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(text, ast.Constant)
+            and isinstance(text.value, str)
+            and "%r" in text.value
+            for text in ast.walk(node)
+        )
+    ]
+    assert found == []

@@ -662,7 +662,7 @@ class TestFalsifiedOracle:
     def test_thm2_sweep_names_the_side_that_disagrees(self, monkeypatch):
         # the carrier equals lhs, so only the comparison with rhs can fail
         orig = involutions.weighted_binomial_sum
-        t1 = BellPolynomial([(Monomial.single(1), 1)])
+        t1 = BellPolynomial([(Monomial([(1, 1)]), 1)])
         monkeypatch.setattr(
             involutions, "weighted_binomial_sum", lambda n, j: orig(n, j) + t1
         )
@@ -674,7 +674,7 @@ class TestFalsifiedOracle:
 
     def test_thm2_broken_binomial_side_fails_every_cell(self, monkeypatch):
         orig = involutions.weighted_binomial_sum
-        t1 = BellPolynomial([(Monomial.single(1), 1)])
+        t1 = BellPolynomial([(Monomial([(1, 1)]), 1)])
         monkeypatch.setattr(
             involutions, "weighted_binomial_sum", lambda n, j: orig(n, j) + t1
         )
@@ -686,7 +686,7 @@ class TestFalsifiedOracle:
     def test_thm2_warm_cache_still_reaches_a_broken_builder(self, monkeypatch):
         assert verify.run_identity("thm2", max_n=10, mode="closed-form").passed
         orig = involutions.complete_bell_by_sum
-        t1 = BellPolynomial([(Monomial.single(1), 1)])
+        t1 = BellPolynomial([(Monomial([(1, 1)]), 1)])
         monkeypatch.setattr(
             involutions,
             "complete_bell_by_sum",
@@ -706,7 +706,7 @@ class TestFalsifiedOracle:
     ):
         # (t1 + 3)(t1 + 2)...(t1 - 3): zero at every integer t1 in [-3, 3]
         wrong = BellPolynomial(
-            (Monomial.single(1, power), coeff)
+            (Monomial([(1, power)]), coeff)
             for power, coeff in ((7, 1), (5, -14), (3, 49), (1, -36))
         )
         assert all(wrong.evaluate((t,)) == 0 for t in range(-3, 4))
