@@ -16,6 +16,7 @@ pairs, and terms() wraps each key, unchecked, for printing.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable
 
 from .errors import (
@@ -130,7 +131,8 @@ class BellPolynomial:
 
     def evaluate(self, weights) -> int:
         need = max((pairs[-1][0] for pairs in self._terms if pairs), default=0)
-        values = _ints(weights, "weights", most=max(need, NUMBERS_CEILING))
+        most = min(max(need, NUMBERS_CEILING), sys.maxsize - 1)  # islice's bound
+        values = _ints(weights, "weights", most=most)
         if need > len(values):
             shown = (_shown(need), len(values))
             raise WeightVectorTooShort("need %s weights, got %d" % shown)

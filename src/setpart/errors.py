@@ -117,8 +117,7 @@ def _ints(values, name, low=None, high=None, most=None, size="length", distinct=
     (bool excluded) >= low and, with low, <= high, none repeated if
     distinct; else MalformedInput naming name.  Reads at most most + 1
     items, and refuses more than most with SizeTooLarge naming size."""
-    stop = None if most is None else min(most + 1, sys.maxsize)  # islice's bound
-    items = tuple(islice(_iterable(values, name), stop))
+    items = tuple(islice(_iterable(values, name), None if most is None else most + 1))
     for v in items:
         if type(v) is not int and not _is_int(v):  # exact ints skip the call
             raise MalformedInput("%s must hold integers, got %s" % (name, _shown(v)))
