@@ -41,7 +41,7 @@ def _integer(text: str) -> int:
     try:
         (value,) = _read_integers(text, "integer")
     except ValueError:
-        raise argparse.ArgumentTypeError("bad integer " + _shown(text)) from None
+        raise argparse.ArgumentTypeError("bad integer %s" % _shown(text)) from None
     return value
 
 

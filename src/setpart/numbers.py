@@ -141,7 +141,7 @@ def singleton_identity_rhs(j: int, variant: str) -> int:
 
 def _check_variant(j, variant):
     if variant not in SINGLETON_IDENTITY_VARIANTS:
-        raise IndexOutOfRange("unknown identity variant " + _shown(variant))
+        raise IndexOutOfRange("unknown identity variant %s" % _shown(variant))
     # the alternating right side starts at j = 2; smaller j is undefined.
     # the pair left side reads bell(j + 2), which caps j for every side
     low = 2 if variant == "alternating" else 0

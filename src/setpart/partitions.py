@@ -143,7 +143,7 @@ class RGS:
         mx = 0
         for c in w:
             if c < 1 or c > mx + 1:
-                raise InvalidRGS("not a restricted growth string: " + _shown(list(w)))
+                raise InvalidRGS("not a restricted growth string: %s" % _shown(list(w)))
             if c > mx:
                 mx = c
         self.word = w
@@ -303,4 +303,4 @@ def block_containing(p: SetPartition, e: int) -> tuple:
     for b in p.blocks:
         if e in b:
             return b
-    raise ElementNotInGround("element %s is not in the ground set" % (_shown(e),))
+    raise ElementNotInGround("element %s is not in the ground set" % _shown(e))

@@ -139,9 +139,9 @@ def default_max_n(identity: str, mode: str = "both") -> int:
 def _entry(identity: str, mode: str) -> _Identity:
     """The table row of identity, once identity and mode are known tokens."""
     if identity not in _IDENTITIES:
-        raise IndexOutOfRange("unknown identity " + _shown(identity))
+        raise IndexOutOfRange("unknown identity %s" % _shown(identity))
     if mode not in MODES:
-        raise IndexOutOfRange("unknown mode " + _shown(mode))
+        raise IndexOutOfRange("unknown mode %s" % _shown(mode))
     return _IDENTITIES[identity]
 
 
@@ -236,7 +236,7 @@ def run_identity(
     """
     _index(jobs, "jobs", low=1)
     if not _is_int(seed):
-        raise MalformedInput("seed must be an integer, got " + _shown(seed))
+        raise MalformedInput("seed must be an integer, got %s" % _shown(seed))
     if max_n is None:
         max_n = default_max_n(identity, mode)
     start = time.perf_counter()
@@ -454,7 +454,7 @@ def _no_singleton_targets(size, j):
 def _check_bijections(cell, closed, sweep):
     check = _PARTS.get(cell["part"])
     if check is None:
-        raise IndexOutOfRange("unknown bijection part " + _shown(cell["part"]))
+        raise IndexOutOfRange("unknown bijection part %s" % _shown(cell["part"]))
     return check(cell["j"])
 
 

@@ -104,7 +104,7 @@ def one_pair(index, exponent):
     return Monomial([(index, exponent)])
 
 
-# the case ids keep the name of the builder this row called before
+# the row's case ids keep their established names
 one_pair.__qualname__ = "Monomial.single"
 
 
