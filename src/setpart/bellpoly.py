@@ -5,10 +5,11 @@ sizes.  Summing the weights over all partitions of an n-set gives a
 polynomial in t_1..t_n; restricting to partitions with exactly r blocks
 gives its fixed-block-count part.  Both come from the multinomial formula
 over the integer partitions of n, which the test suite checks against a
-walk over every set partition: one walk, held to r parts for the
-fixed-block-count part, that divides exactly in integers; it never forms
-a rational.  A BellPolynomial is one dict from each monomial's sorted
-(index, exponent) pair tuple to its coefficient, with no object per term.
+walk over every set partition: one walk, in one mode, that divides
+exactly in integers and never forms a rational; partial_bell keeps its
+terms with r blocks.  A BellPolynomial is one dict from each monomial's
+sorted (index, exponent) pair tuple to its coefficient, with no object
+per term.
 A Monomial is made only at the public edge: BellPolynomial(...) checks
 each term's Monomial and coefficient, coefficient() looks up a Monomial's
 pairs, and terms() wraps each key, unchecked, for printing.
@@ -17,6 +18,7 @@ pairs, and terms() wraps each key, unchecked, for printing.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from typing import Iterable
 
 from .errors import (
@@ -24,6 +26,7 @@ from .errors import (
     NonIntegerCoefficient,
     WeightVectorTooShort,
     _index,
+    _instance,
     _ints,
     _is_int,
     _iterable,
@@ -34,16 +37,24 @@ from .numbers import NUMBERS_CEILING, factorial
 
 # Y_n has p(n) monomials: p(60) = 966,467 take ~170 MB, p(70) over four times as many
 POLY_CEILING = 60
+# p(POLY_CEILING): no builder makes more terms, and no monomial needs more pairs
+TERM_CEILING = 966_467
 
 
 def _pairs(items, name) -> list:
-    """The items of a collection as 2-tuples; MalformedInput naming name
-    for an item that is not a pair, or where _iterable refuses items."""
-    items = list(_iterable(items, name))  # read first: only unpacking is caught
-    try:
-        return [(a, b) for a, b in items]
-    except (TypeError, ValueError):  # an item not iterable, or not two items
-        raise MalformedInput("%s must be pairs" % (name,)) from None
+    """The items of a collection as 2-tuples, each unpacked as it is read;
+    MalformedInput naming name for an item that is not a pair, or where
+    _iterable refuses items.  Reads at most TERM_CEILING + 1 items, and
+    refuses more than TERM_CEILING with SizeTooLarge."""
+    out = []
+    for item in islice(_iterable(items, name), TERM_CEILING + 1):
+        try:  # only unpacking is caught: the collection's own errors pass
+            a, b = item
+        except (TypeError, ValueError):  # an item not iterable, or not two items
+            raise MalformedInput("%s must be pairs" % (name,)) from None
+        out.append((a, b))
+    _index(len(out), "the number of " + name, ceiling=TERM_CEILING)
+    return out
 
 
 class Monomial:
@@ -122,7 +133,7 @@ class BellPolynomial:
         return [(Monomial._trusted(pairs), self._terms[pairs]) for pairs in order]
 
     def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono.pairs, 0)
+        return self._terms.get(_instance(mono, Monomial, "mono").pairs, 0)
 
     def __add__(self, other):
         if not isinstance(other, BellPolynomial):
@@ -256,15 +267,27 @@ def _size_monomial(sizes, ones: int = 0) -> Monomial:
     return Monomial([(1, ones), *((size, 1) for size in sizes)])
 
 
-def _bell_terms(n: int, blocks=None) -> BellPolynomial:
-    """Y_n, or its part with exactly `blocks` blocks, from one walk that
-    visits each integer partition of n once; r_i blocks of size i add n! /
-    prod(r_i! (i!)^r_i) times prod t_i^r_i.  The walk picks sizes 2 and up,
-    descending, with their multiplicities, carries the denominator down and
-    fills the rest with ones; each leaf divides exactly (NonIntegerCoefficient
-    otherwise) into one pair-tuple key.  A block count prunes dead branches.
-    Every key shares its (size, multiplicity) pairs from one table, which
-    also holds the factor m! (s!)^m that each pair adds to the denominator."""
+def partial_bell(n: int, r: int) -> BellPolynomial:
+    """The part of the full polynomial from exactly r blocks: the terms of
+    complete_bell_by_sum(n) whose exponents add up to r, so it costs what
+    the full polynomial costs.  n is capped at POLY_CEILING."""
+    _index(r, "r", top=_index(n, ceiling=POLY_CEILING))
+    terms = complete_bell_by_sum(n)._terms
+    return BellPolynomial._trusted(
+        {pairs: c for pairs, c in terms.items() if sum(e for _, e in pairs) == r}
+    )
+
+
+def complete_bell_by_sum(n: int) -> BellPolynomial:
+    """Y_n from one walk that visits each integer partition of n once; r_i
+    blocks of size i add n! / prod(r_i! (i!)^r_i) times prod t_i^r_i.  The
+    walk picks sizes 2 and up, descending, with their multiplicities,
+    carries the denominator down and fills the rest with ones; each leaf
+    divides exactly (NonIntegerCoefficient otherwise) into one pair-tuple
+    key.  Every key shares its (size, multiplicity) pairs from one table,
+    which also holds the factor m! (s!)^m that each pair adds to the
+    denominator.  n is capped at POLY_CEILING."""
+    _index(n, ceiling=POLY_CEILING)
     fact = [factorial(i) for i in range(n + 1)]
     step = [None] + [
         [((s, m), fact[m] * fact[s] ** m) for m in range(n // s + 1)]
@@ -272,42 +295,20 @@ def _bell_terms(n: int, blocks=None) -> BellPolynomial:
     ]
     terms = {}
 
-    def walk(total, count, top, pairs, denom):
-        # parts of size at most top still sum to total, in count parts
-        # unless count is None; pairs: the (size, multiplicity) pairs so far
-        if count is None or count == total:
-            leaf = (step[1][total][0],) + pairs if total else pairs
-            coeff, rem = divmod(fact[n], denom * fact[total])
-            if rem:
-                raise NonIntegerCoefficient("coefficient of %s is inexact" % (leaf,))
-            terms[leaf] = coeff
-        for s in range(min(top, total if count is None else total - count + 1), 1, -1):
-            if count is None:
-                low, most = 1, total // s
-            else:
-                # m parts of size s leave count - m parts in [1, s - 1]
-                low = max(1, total - count * (s - 1))
-                most = min(count, (total - count) // (s - 1))
+    def walk(total, top, pairs, denom):
+        # parts of size at most top still sum to total; pairs: the
+        # (size, multiplicity) pairs so far
+        leaf = (step[1][total][0],) + pairs if total else pairs
+        coeff, rem = divmod(fact[n], denom * fact[total])
+        if rem:
+            raise NonIntegerCoefficient("coefficient of %s is inexact" % (leaf,))
+        terms[leaf] = coeff
+        for s in range(min(top, total), 1, -1):
             row = step[s]
-            for m in range(low, most + 1):
-                rest = None if count is None else count - m
+            for m in range(1, total // s + 1):
                 p, d = row[m]
-                walk(total - m * s, rest, s - 1, (p,) + pairs, denom * d)
+                walk(total - m * s, s - 1, (p,) + pairs, denom * d)
 
-    walk(n, blocks, n, (), 1)
+    walk(n, n, (), 1)
     del walk  # walk reaches itself through its closure: free terms with the result
     return BellPolynomial._trusted(terms)
-
-
-def partial_bell(n: int, r: int) -> BellPolynomial:
-    """The part of the full polynomial from exactly r blocks: the
-    integer-partition walk held to r parts.  n is capped at POLY_CEILING."""
-    _index(r, "r", top=_index(n, ceiling=POLY_CEILING))
-    return _bell_terms(n, r)
-
-
-def complete_bell_by_sum(n: int) -> BellPolynomial:
-    """The full polynomial, from the integer-partition walk with no block
-    count: every block count's terms in one pass.  n is capped at POLY_CEILING."""
-    _index(n, ceiling=POLY_CEILING)
-    return _bell_terms(n)

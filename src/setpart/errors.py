@@ -6,8 +6,10 @@ of the public operations.
 
 The module also holds the one rule for integer arguments: _is_int decides
 what an integer is, _index checks every size, index, window and job count
-against it, and _ints reads every collection of them.  _printed prints
-integers, refusing one too long for str(); _shown shows a refused value.
+against it, and _ints reads every collection of them.  _instance is the
+one check of an argument that must be an object of a given class, such as
+a SetPartition.  _printed prints integers, refusing one too long for
+str(); _shown shows a refused value.
 """
 
 import sys
@@ -101,6 +103,15 @@ def _index(value, name="n", top=None, low=0, ceiling=None):
         raise IndexOutOfRange("need %d <= %s%s" % (low, name, high))
     if ceiling is not None and value > ceiling:
         raise SizeTooLarge("%s is capped at %d" % (name, ceiling))
+    return value
+
+
+def _instance(value, cls, name):
+    """value, when it is an instance of cls; else MalformedInput naming
+    name and the type of value, never the value itself."""
+    if not isinstance(value, cls):
+        kind = (name, cls.__name__, type(value).__name__)
+        raise MalformedInput("%s must be a %s, not %s" % kind)
     return value
 
 

@@ -28,7 +28,14 @@ from .bellpoly import (
     _size_monomial,
     complete_bell_by_sum,
 )
-from .errors import MalformedInput, PreconditionViolated, _index, _ints, _shown
+from .errors import (
+    MalformedInput,
+    PreconditionViolated,
+    _index,
+    _instance,
+    _ints,
+    _shown,
+)
 from .numbers import binomial
 from .partitions import SetPartition, _range_size, enumerate_partitions
 
@@ -116,6 +123,8 @@ def partner(lam: SignedPair) -> Optional[SignedPair]:
 
 def pivot_of(lam: SignedPair) -> Optional[int]:
     """The element the involution would toggle, or None on the fixed set."""
+    if type(lam) is not SignedPair:  # exact pairs skip the call: once per pair
+        _instance(lam, SignedPair, "lam")
     j = lam.j
     best = max(lam.S) if lam.S else 0
     # blocks ascend by least element, so the first singleton inside
@@ -169,7 +178,7 @@ def _marked(size, low, high, marks, pi, mark_name, part_name) -> frozenset:
     the two in the messages."""
     s = frozenset(_ints(marks, mark_name, low, high, high - low + 1, distinct=True))
     # sizes first, so the check costs no more than the input
-    ground = pi.ground
+    ground = _instance(pi, SetPartition, part_name).ground
     if len(ground) != size - len(s) or ground != _without(size, s):
         raise MalformedInput(
             "%s must partition {1..%s} minus %s" % (part_name, _shown(size), mark_name)
@@ -251,7 +260,8 @@ def gather_singletons_two(src: SetPartition, j: int) -> SetPartition:
     """
     _index(j, "j")
     # {1..j} or {1..j+1}: a ground of more than j elements must be the second
-    size = _range_size(src, j if len(src.ground) <= j else j + 1)
+    ground = _instance(src, SetPartition, "the partition").ground
+    size = _range_size(src, j if len(ground) <= j else j + 1)
     larger = [j + 1, j + 2] if size == j else [j + 2]
     return _gather_low_singletons(src.blocks, j, larger)
 

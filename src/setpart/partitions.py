@@ -19,6 +19,7 @@ from .errors import (
     MalformedInput,
     NonContiguousGround,
     _index,
+    _instance,
     _ints,
     _iterable,
     _printed,
@@ -257,8 +258,9 @@ def count_partitions(ground) -> int:
 def _range_size(p: SetPartition, size=None) -> int:
     """The m for which p partitions {1..m}, which must equal size when
     one is given: the one test of a ground for {1..m}.  Any other ground
-    raises NonContiguousGround."""
-    ground = p.ground
+    raises NonContiguousGround, and a p that is no SetPartition
+    MalformedInput."""
+    ground = _instance(p, SetPartition, "the partition").ground
     m = len(ground)
     # sorted, distinct and >= 1: {1..m} exactly when the largest is m
     if ground and ground[-1] != m or size is not None and m != size:
@@ -299,6 +301,7 @@ def from_rgs(w) -> SetPartition:
 
 def block_containing(p: SetPartition, e: int) -> tuple:
     """The unique block of p holding element e."""
+    _instance(p, SetPartition, "p")
     _index(e, "e")
     for b in p.blocks:
         if e in b:

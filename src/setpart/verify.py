@@ -137,10 +137,11 @@ def default_max_n(identity: str, mode: str = "both") -> int:
 
 
 def _entry(identity: str, mode: str) -> _Identity:
-    """The table row of identity, once identity and mode are known tokens."""
-    if identity not in _IDENTITIES:
+    """The table row of identity, once identity and mode are known tokens;
+    a token that is not a str is unknown."""
+    if not isinstance(identity, str) or identity not in _IDENTITIES:
         raise IndexOutOfRange("unknown identity %s" % _shown(identity))
-    if mode not in MODES:
+    if not isinstance(mode, str) or mode not in MODES:
         raise IndexOutOfRange("unknown mode %s" % _shown(mode))
     return _IDENTITIES[identity]
 

@@ -111,6 +111,31 @@ def complete_bell_polynomial_by_recurrence(n):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _partial_bell_by_sizes(n, r):
+    """B_{n,r} as a dict from each monomial's block sizes, as an ascending
+    tuple with repeats, to its coefficient."""
+    if n == 0 or r == 0:
+        return {(): 1} if n == r else {}
+    acc = collections.Counter()
+    for k in range(1, n - r + 2):
+        scale = math.comb(n - 1, k - 1)
+        for sizes, coeff in _partial_bell_by_sizes(n - k, r - 1).items():
+            acc[tuple(sorted(sizes + (k,)))] += scale * coeff
+    return dict(acc)
+
+
+def partial_bell_by_recurrence(n, r):
+    """B_{n,r}, the r-block part of Y_n, from B_{n,r} = sum over k from 1
+    to n - r + 1 of C(n-1, k-1) t_k B_{n-k,r-1}, with B_{0,0} = 1 (Comtet,
+    Advanced Combinatorics, 1974, section 3.3): the block holding element
+    1 has k elements.  No integer partition is walked and no Y_n built."""
+    return BellPolynomial(
+        (Monomial(collections.Counter(sizes).items()), coeff)
+        for sizes, coeff in _partial_bell_by_sizes(n, r).items()
+    )
+
+
 def complete_bell_by_enumeration(n):
     """Y_n as the sum over every partition of an n-set of t_size per
     block, walking each growth word: a word's letter counts are the block

@@ -4,10 +4,15 @@ before any work is done.  Anything else raises MalformedInput, and -1
 raises an IndexOutOfRange (a NegativeIndex where the rule applies).  One
 rule, too, for every argument that is a collection of integers: it must
 be a collection, not text, of such ints, read no further than its
-ceiling."""
+ceiling.  A collection of pairs is read no further than its ceiling
+either, and an argument that must be an object of a given class (a
+partition, a signed pair, a monomial) or a token raises a SetpartError
+when it is anything else."""
 
 import inspect
 import itertools
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -45,17 +50,21 @@ from setpart import (
     enumerate_partitions,
     factorial,
     from_rgs,
+    gather_singletons,
     gather_singletons_two,
     is_cyclic_smirnov,
     is_noncrossing,
     partial_bell,
+    partner,
+    pivot_of,
     run_identity,
     singleton_identity_lhs,
     singleton_identity_rhs,
     split_singleton_free,
+    to_rgs,
     verify,
 )
-from setpart.bellpoly import POLY_CEILING
+from setpart.bellpoly import POLY_CEILING, TERM_CEILING
 from setpart.errors import IndexOutOfRange, MalformedInput, SetpartError, SizeTooLarge
 from setpart.involutions import (
     WEIGHTED_CEILING,
@@ -318,6 +327,55 @@ def test_collections_are_refused_at_once(fn, value, error):
     assert type(err.value) is error
 
 
+def test_endless_pairs_are_refused_within_a_memory_bound():
+    # a child caps its own address space at 400 MB, where reading an
+    # endless collection whole ends in MemoryError: the first item that is
+    # no pair is refused as it is read, and a stream of valid pairs after
+    # TERM_CEILING + 1 of them
+    code = (
+        "import itertools, resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from setpart import BellPolynomial, Monomial, SetpartError\n"
+        "count, repeat = itertools.count, itertools.repeat\n"
+        "for call in (\n"
+        "    lambda: Monomial(count(1)),\n"
+        "    lambda: BellPolynomial(count(1)),\n"
+        "    lambda: Monomial(zip(count(1), repeat(1))),\n"
+        "    lambda: BellPolynomial(zip(repeat(Monomial(())), repeat(1))),\n"
+        "):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        call()\n"
+        "    except SetpartError as err:\n"
+        "        print(type(err).__name__, time.perf_counter() - start < 2)\n"
+    )
+    src = os.path.dirname(os.path.dirname(setpart.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    refused = "MalformedInput True\n" * 2 + "SizeTooLarge True\n" * 2
+    assert done.stdout == refused
+
+
+def test_pairs_are_read_up_to_their_ceiling():
+    # p(POLY_CEILING) integer partitions, by the parts-at-most-k recurrence:
+    # no builder makes more terms than Y_60 has
+    ways = [1] + [0] * POLY_CEILING
+    for part in range(1, POLY_CEILING + 1):
+        for total in range(part, POLY_CEILING + 1):
+            ways[total] += ways[total - part]
+    assert TERM_CEILING == ways[POLY_CEILING]
+    at = Monomial(zip(range(1, TERM_CEILING + 1), itertools.repeat(1)))
+    assert len(at.pairs) == TERM_CEILING
+    with pytest.raises(SizeTooLarge, match="^the number of terms is capped at"):
+        BellPolynomial([(Monomial(()), 1)] * (TERM_CEILING + 1))
+
+
 def test_word_letters_may_have_any_sign():
     # the predicates take arbitrary words, as _read_integers reads signed text
     assert is_noncrossing([-1, 3, -1]) and is_noncrossing("-1,3,-1")
@@ -471,6 +529,151 @@ def test_binomial_stops_at_the_sequence_ceiling_inside_its_window():
 def test_unknown_tokens_are_out_of_range(call):
     with pytest.raises(IndexOutOfRange):
         call()
+
+
+PAIR = SignedPair(1, 1, (), P("1,2"))
+
+# (name, callable, valid arguments, positions of the object arguments, and
+# optionally the class a wrong one raises when that is not MalformedInput:
+# an identity, mode or variant that is not one of its tokens is unknown,
+# an IndexOutOfRange); a name outside setpart.__all__ has a module prefix
+OBJECT_ARGUMENTS = [
+    ("to_rgs", to_rgs, (P("1"),), (0,)),
+    ("block_containing", block_containing, (P("1/2"), 1), (0,)),
+    ("SignedPair", SignedPair, (1, 1, (), P("1,2")), (3,)),
+    ("partner", partner, (PAIR,), (0,)),
+    ("pivot_of", pivot_of, (PAIR,), (0,)),
+    ("build_singleton_free", build_singleton_free, (1, 1, (), P("1")), (3,)),
+    ("split_singleton_free", split_singleton_free, (1, 1, P("1,2")), (2,)),
+    ("gather_singletons", gather_singletons, (P("1"),), (0,)),
+    ("gather_singletons_two", gather_singletons_two, (P("1"), 1), (0,)),
+    ("classify_cd", classify_cd, (P("1,2"), 2), (0,)),
+    (
+        "BellPolynomial",
+        complete_bell_by_sum(2).coefficient,
+        (Monomial([(1, 2)]),),
+        (0,),
+    ),
+    (
+        "singleton_identity_lhs",
+        singleton_identity_lhs,
+        (3, "pair"),
+        (1,),
+        IndexOutOfRange,
+    ),
+    (
+        "singleton_identity_rhs",
+        singleton_identity_rhs,
+        (3, "pair"),
+        (1,),
+        IndexOutOfRange,
+    ),
+    ("run_identity", run_identity, ("thm1", 2, "both"), (0, 2), IndexOutOfRange),
+    (
+        "verify.plan_cells",
+        verify.plan_cells,
+        ("thm1", 2, "both"),
+        (0, 2),
+        IndexOutOfRange,
+    ),
+    (
+        "verify.default_max_n",
+        verify.default_max_n,
+        ("thm1", "both"),
+        (0, 1),
+        IndexOutOfRange,
+    ),
+]
+
+# public names that take no object argument: exceptions and constants,
+# integers alone, and collections of integers or pairs (a word given as
+# text is a collection too), which the rules above read
+NO_OBJECT_ARGUMENTS = {
+    "ElementNotInGround",
+    "IndexOutOfRange",
+    "InvalidRGS",
+    "MalformedInput",
+    "NegativeIndex",
+    "NonContiguousGround",
+    "NonIntegerCoefficient",
+    "PreconditionViolated",
+    "SetpartError",
+    "SizeTooLarge",
+    "WeightVectorTooShort",
+    "IDENTITIES",
+    "__version__",
+    "a000262",
+    "bell",
+    "bell_alternating_sum",
+    "bell_binomial_sum",
+    "binomial",
+    "catalan",
+    "catalan_difference",
+    "catalan_partial_sum",
+    "derangement",
+    "factorial",
+    "count_partitions",
+    "enumerate_partitions",
+    "SetPartition",
+    "RGS",
+    "from_rgs",
+    "Monomial",
+    "WeightVector",
+    "complete_bell_by_sum",
+    "partial_bell",
+    "enumerate_carrier",
+    "count_noncrossing",
+    "count_cyclic_smirnov_noncrossing",
+    "count_prefix_smirnov_noncrossing",
+    "enumerate_noncrossing",
+    "covering_reduction",
+    "is_cyclic_smirnov",
+    "is_noncrossing",
+}
+
+
+def _object_cases():
+    for _, fn, args, slots, *error in OBJECT_ARGUMENTS:
+        for slot in slots:
+            for value in (None, 5, "1", [[1, 2]]):
+                bad = args[:slot] + (value,) + args[slot + 1 :]
+                label = "%s-%d-%r" % (fn.__qualname__, slot, value)
+                yield pytest.param(fn, bad, *error or [MalformedInput], id=label)
+
+
+def test_every_public_name_is_classified_by_its_objects():
+    named = {name for name, *_ in OBJECT_ARGUMENTS if "." not in name}
+    assert not named & NO_OBJECT_ARGUMENTS
+    assert named | NO_OBJECT_ARGUMENTS == set(setpart.__all__)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(fn, args, id=fn.__qualname__)
+        for _, fn, args, *_ in OBJECT_ARGUMENTS
+    ],
+)
+def test_valid_objects_pass(fn, args):
+    _call(fn, args)
+
+
+@pytest.mark.parametrize("fn, args, error", _object_cases())
+def test_wrong_objects_are_refused_at_once(fn, args, error):
+    start = time.perf_counter()
+    with pytest.raises(SetpartError) as err:
+        _call(fn, args)
+    assert time.perf_counter() - start < 0.1
+    assert type(err.value) is error
+
+
+def test_a_wrong_object_is_named_by_its_type():
+    # never by its value, which may be too long to show
+    for value, kind in (([[1, 2]], "list"), (10**5000, "int")):
+        with pytest.raises(MalformedInput) as err:
+            to_rgs(value)
+        message = "the partition must be a SetPartition, not %s" % (kind,)
+        assert str(err.value) == message
 
 
 def test_jobs_below_one_are_rejected():

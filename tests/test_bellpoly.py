@@ -349,10 +349,26 @@ class TestCanonicalMonomials:
                 assert product == Monomial(key + f).pairs
 
 
+class TestPartialRecurrenceOracle:
+    # partial_bell keeps the r-block terms of the one integer-partition
+    # walk; the recurrence over the block of element 1 builds each B_{n,r}
+    # on its own, so it checks the walk's ones and the block-count filter
+    @pytest.mark.parametrize("n", range(13))
+    def test_every_block_count_matches_the_recurrence(self, n):
+        for r in range(n + 1):
+            want = oracles.partial_bell_by_recurrence(n, r)
+            assert partial_bell(n, r).terms() == want.terms()
+
+    @pytest.mark.parametrize("n, r", [(20, 1), (20, 7), (20, 19), (25, 3), (25, 12)])
+    def test_far_block_counts_match_the_recurrence(self, n, r):
+        want = oracles.partial_bell_by_recurrence(n, r)
+        assert partial_bell(n, r).terms() == want.terms()
+
+
 class TestPartialSplit:
-    # both builders are the one integer-partition walk, apart from its
-    # block-count pruning, so n = 20 and 25 check the pruning far past
-    # the enumeration route's ceiling
+    # partial_bell filters the full polynomial, so this checks that the
+    # filter loses and repeats no term; the recurrence oracle above
+    # checks the parts on their own
     @pytest.mark.parametrize("n", [*range(11), 20, 25])
     def test_partials_sum_to_complete(self, n):
         total = BellPolynomial()
