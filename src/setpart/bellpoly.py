@@ -136,9 +136,10 @@ class BellPolynomial:
         return self._terms.get(_instance(mono, Monomial, "mono").pairs, 0)
 
     def __add__(self, other):
-        if not isinstance(other, BellPolynomial):
-            return NotImplemented
+        _instance(other, BellPolynomial, "the other summand")
         return _combination(((self, 1, ()), (other, 1, ())))
+
+    __radd__ = __add__  # 5 + p, and sum()'s 0 + p, refuse as p + 5 does
 
     def evaluate(self, weights) -> int:
         need = max((pairs[-1][0] for pairs in self._terms if pairs), default=0)

@@ -26,6 +26,7 @@ from .bellpoly import (
     Monomial,
     _combination,
     _size_monomial,
+    _times,
     complete_bell_by_sum,
 )
 from .errors import (
@@ -42,9 +43,8 @@ from .partitions import SetPartition, _range_size, enumerate_partitions
 CARRIER_CEILING = 10
 SYMBOLIC_CEILING = 7
 EXACT_CEILING = 10  # thm2's closed half compares its exact sides up to this n
-# the weighted closed sides at n = 30, j = 15: 0.6 s and 42 MB for the
-# binomial side (2 shared CPUs, Python 3.11), growing about fourfold per
-# 5 steps of n
+# the binomial side at n = 30, j = 15: 0.25-0.45 s and 17.5 MB peak RSS in a
+# fresh process (2 shared CPUs, Python 3.11), growing 3-4x per 5 steps of n
 WEIGHTED_CEILING = 30
 
 
@@ -310,8 +310,8 @@ def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
     """Sum of signed weight monomials over the whole carrier.
 
     Walks each marked set S with every partition of its complement, with
-    no pair built, counts them per (|S|, block sizes in block order), sorts
-    each distinct shape once and signs each signature's monomial (-1)^|S|.
+    no pair built, counts them per (|S|, block sizes in block order), and
+    adds each shape's count, signed (-1)^|S|, to its monomial's term.
     """
     _index(j, "j", top=_index(n, ceiling=SYMBOLIC_CEILING))
     shapes = Counter(
@@ -319,13 +319,11 @@ def weighted_carrier_sum(n: int, j: int) -> BellPolynomial:
         for s, ground in _complements(n + 1, range(1, j + 1))
         for pi in enumerate_partitions(ground)
     )
-    tally = Counter()
+    terms = {}
     for (ones, shape), count in shapes.items():
-        tally[ones, tuple(sorted(shape))] += count
-    return BellPolynomial(
-        (_size_monomial(sizes, ones), (-1) ** ones * count)
-        for (ones, sizes), count in tally.items()
-    )
+        key = _size_monomial(shape, ones).pairs
+        terms[key] = terms.get(key, 0) + (-1) ** ones * count
+    return BellPolynomial._trusted({k: c for k, c in terms.items() if c})
 
 
 # Y_m is kept per process up to this degree, the largest thm2's closed
@@ -357,24 +355,20 @@ def weighted_alternating_sum(n: int, j: int) -> BellPolynomial:
 
 
 def weighted_binomial_sum(n: int, j: int) -> BellPolynomial:
-    """Triple sum counting singleton-free-in-{1..j} partitions by weight.
-
-    k elements above j and l at most j join the block of n+1, one block
-    of size a + 1 with a = k + l; the rest avoids singletons in the
-    remaining j - l low elements by inclusion-exclusion over r marked
-    ones, which leaves B_{n-a-r}.  The triples are grouped by (a, r): each
-    group is one part t_1^r t_{a+1} B_{n-a-r} with the exact integer
-    coefficient (-1)^r sum over l of C(n-j, a-l) C(j, l) C(j-l, r).
+    """The partitions of {1..n+1} with no singleton in {1..j}, by weight:
+    inclusion-exclusion forces r of {1..j} to be singletons, and n + 1's
+    block takes a of the other n - r elements, one part (-1)^r C(j, r)
+    C(n-r, a) t_1^r t_{a+1} B_{n-a-r} per (a, r).  By Vandermonde, that
+    is the paper's sum over the l low elements in the block of
+    C(n-j, a-l) C(j, l) C(j-l, r).  WEIGHTED_CEILING notes its cost.
     """
     _index(j, "j", top=_index(n, ceiling=WEIGHTED_CEILING))
-    parts = []
-    for a in range(n + 1):
-        low = max(0, a - (n - j))  # k = a - l is at most n - j
-        for r in range(j - low + 1):
-            coeff = sum(
-                binomial(n - j, a - l) * binomial(j, l) * binomial(j - l, r)
-                for l in range(low, min(a, j - r) + 1)
-            )
-            mono = Monomial(((1, r), (a + 1, 1))).pairs
-            parts.append((_complete(n - a - r), (-1) ** r * coeff, mono))
-    return _combination(parts)
+    return _combination(
+        (
+            _complete(n - a - r),
+            (-1) ** r * binomial(j, r) * binomial(n - r, a),
+            _times(((1, r),) if r else (), ((a + 1, 1),)),
+        )
+        for r in range(j + 1)
+        for a in range(n - r + 1)
+    )

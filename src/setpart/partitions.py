@@ -173,7 +173,7 @@ class RGS:
         return iter(self.word)
 
     def __getitem__(self, i):
-        return self.word[i]
+        return self.word[_index(i, "index", top=len(self.word) - 1)]
 
     def __eq__(self, other):
         if isinstance(other, RGS):

@@ -152,7 +152,9 @@ def weighted_binomial_by_triples(n, j):
     """The binomial side of Theorem 2 as its literal triple sum, one part
     per (k, l, r): k elements above j and l at most j join the block of
     n + 1, and inclusion-exclusion marks r of the other j - l low
-    elements.  The library groups the triples by the block's size."""
+    elements.  The library uses their collapse, C(j, r) C(n - r, a):
+    one part (-1)^r C(j, r) C(n - r, a) t_1^r t_{a+1} B_{n-a-r} per
+    (a, r), a = k + l."""
     ys = [complete_bell_by_sum(m) for m in range(n + 1)]
     return _combination(
         (

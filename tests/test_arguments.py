@@ -11,6 +11,7 @@ when it is anything else."""
 
 import inspect
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -65,7 +66,13 @@ from setpart import (
     verify,
 )
 from setpart.bellpoly import POLY_CEILING, TERM_CEILING
-from setpart.errors import IndexOutOfRange, MalformedInput, SetpartError, SizeTooLarge
+from setpart.errors import (
+    IndexOutOfRange,
+    MalformedInput,
+    NegativeIndex,
+    SetpartError,
+    SizeTooLarge,
+)
 from setpart.involutions import (
     WEIGHTED_CEILING,
     weighted_alternating_sum,
@@ -117,6 +124,14 @@ def one_pair(index, exponent):
 one_pair.__qualname__ = "Monomial.single"
 
 
+def one_letter(word, i):
+    """RGS(word)[i]: the integer argument of a word is the index of a letter."""
+    return RGS(word)[i]
+
+
+one_letter.__qualname__ = "RGS.__getitem__"
+
+
 # (name, callable, valid arguments, positions of the integer arguments,
 # and optionally what -1 in such a position raises when that is not an
 # IndexOutOfRange: an element below 1 raises MalformedInput, and None
@@ -138,6 +153,7 @@ ARGUMENTS = [
     ("partitions._ground", GroundSet.range_n, (3,), (0,)),
     ("partitions._ground", GroundSet.of, (3,), (0,)),
     ("SetPartition", one_block, (1, 2), (0,), MalformedInput),
+    ("RGS", one_letter, ("121", 2), (1,)),
     ("count_partitions", count_partitions, (3,), (0,)),
     ("enumerate_partitions", enumerate_partitions, (3,), (0,)),
     ("block_containing", block_containing, (P("1/2"), 1), (1,)),
@@ -187,7 +203,6 @@ NO_INTEGER_ARGUMENTS = {
     "WeightVectorTooShort",
     "IDENTITIES",
     "__version__",
-    "RGS",
     "from_rgs",
     "to_rgs",
     "covering_reduction",
@@ -243,6 +258,25 @@ def test_minus_one_is_out_of_range(fn, args, negative):
     else:
         with pytest.raises(negative):
             _call(fn, args)
+
+
+@pytest.mark.parametrize(
+    "index, error",
+    [
+        (3, IndexOutOfRange),
+        (10**5000, IndexOutOfRange),
+        (-1, NegativeIndex),
+        ([1], MalformedInput),
+        (slice(0, 2), MalformedInput),
+    ],
+    ids=["past-the-end", "huge", "negative", "list", "slice"],
+)
+def test_an_rgs_index_names_the_letters_it_may_read(index, error):
+    start = time.perf_counter()
+    with pytest.raises(SetpartError) as err:
+        RGS("121")[index]
+    assert time.perf_counter() - start < 0.1
+    assert type(err.value) is error
 
 
 def test_run_identity_seed_is_any_int():
@@ -553,6 +587,13 @@ OBJECT_ARGUMENTS = [
         complete_bell_by_sum(2).coefficient,
         (Monomial([(1, 2)]),),
         (0,),
+    ),
+    # both operand orders: None + p calls p.__radd__, p + None p.__add__
+    (
+        "BellPolynomial",
+        operator.add,
+        (complete_bell_by_sum(2), complete_bell_by_sum(1)),
+        (0, 1),
     ),
     (
         "singleton_identity_lhs",

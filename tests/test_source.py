@@ -145,6 +145,21 @@ def test_each_boundary_rule_is_called_from_its_home_alone():
     assert sorted(callers) == sorted(RULE_HOMES.items())
 
 
+def test_validated_polynomials_are_built_in_bellpoly_alone():
+    # a Monomial or BellPolynomial is made by its checking constructor at
+    # the public edge only; the library builds pair-tuple keys and wraps
+    # them with BellPolynomial._trusted
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "bellpoly.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and name(node.func) in ("BellPolynomial", "Monomial")
+    ]
+    assert found == []
+
+
 # stdlib packages whose import costs a command's start-up more than the
 # command uses of them
 HEAVY_IMPORTS = ("concurrent", "multiprocessing", "dataclasses", "inspect", "logging")
